@@ -2,18 +2,27 @@
 
 GO ?= go
 
-.PHONY: all build check lint-determinism test race bench bench-update bench-go chaos chaos-short experiments quick profile fuzz cover clean
+.PHONY: all build check lint-gofmt lint-determinism test race bench bench-update bench-go chaos chaos-short experiments quick profile fuzz cover clean
 
 all: build check
 
 build:
 	$(GO) build ./...
 
-# check is the default verify path: static analysis, the determinism lint,
-# and the full test suite under the race detector.
-check: lint-determinism
+# check is the default verify path: the gofmt gate, static analysis, the
+# determinism lint, and the full test suite under the race detector.
+check: lint-gofmt lint-determinism
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# lint-gofmt fails when any Go file in the tree is not gofmt-clean.
+lint-gofmt:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "gofmt: files need formatting (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "gofmt: ok"
 
 # lint-determinism guards the replayable core: non-test files in
 # internal/sim, internal/obs, internal/overload and internal/elastic must

@@ -98,7 +98,7 @@ func main() {
 
 // writeEvents dumps the failure's flight-recorder event stream next to the
 // repro, so a soak failure ships with the raw sequence that produced it.
-func writeEvents(path string, events []obs.FlightEvent) error {
+func writeEvents(path string, events []obs.Event) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err

@@ -7,7 +7,6 @@ package flowsched
 
 import (
 	"flowsched/internal/elastic"
-	"flowsched/internal/obs"
 	"flowsched/internal/sim"
 )
 
@@ -36,9 +35,6 @@ type (
 	// per-task dispatch instants, scale/handoff counts and the
 	// machine-hours integral ∫ members dt.
 	ElasticMetrics = sim.ElasticMetrics
-	// MembershipObserver is the optional probe extension receiving the
-	// membership event stream (scale-ups, joins, drains, handoffs).
-	MembershipObserver = obs.MembershipObserver
 )
 
 // EffectiveSet returns the first k active machines walking the slot ring
@@ -59,9 +55,9 @@ func EffectiveSet(active []bool, start, k int) ProcSet {
 // elastic run routes exactly like a static one. No admitted task is ever
 // lost to a drain: handoffs re-enter the normal dispatch path and the audit
 // membership invariants re-check every dispatch against the returned
-// MembershipLog. A nil ecfg reproduces SimulateGuarded bit for bit; probe
-// may additionally implement MembershipObserver to receive the membership
-// event stream.
+// MembershipLog. A nil ecfg reproduces SimulateGuarded bit for bit; the
+// probe additionally receives the scale-up, join, scale-down and handoff
+// events.
 func SimulateElastic(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy, cfg *OverloadConfig, ecfg *ElasticConfig, probe Probe) (*Schedule, *ElasticMetrics, error) {
 	return sim.RunElastic(inst, router, plan, policy, cfg, ecfg, probe)
 }

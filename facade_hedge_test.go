@@ -10,25 +10,24 @@ import (
 
 // hedgeCounter counts the facade's hedge event stream.
 type hedgeCounter struct {
-	flowsched.BaseProbe
-	hedges, wins, copyWins, cancels int
+	hedges, copyWins int
 }
 
-func (h *hedgeCounter) OnHedge(task, from, to int, at, start, end flowsched.Time) { h.hedges++ }
-func (h *hedgeCounter) OnHedgeWin(task, server int, byCopy bool, at flowsched.Time) {
-	h.wins++
-	if byCopy {
-		h.copyWins++
+func (h *hedgeCounter) OnEvent(ev flowsched.Event) {
+	switch ev.Kind {
+	case flowsched.EventHedge:
+		h.hedges++
+	case flowsched.EventHedgeWin:
+		if ev.Copy {
+			h.copyWins++
+		}
 	}
-}
-func (h *hedgeCounter) OnHedgeCancel(task, server int, at flowsched.Time, started bool) {
-	h.cancels++
 }
 
 // TestFacadeHedged exercises the hedged-execution facade end to end: a nil
 // config reproduces SimulateElastic bit for bit, and a delay-triggered hedge
 // under a gray fault issues copies, wins by copy, and reports the
-// duplicate-work cost — with the event stream visible through HedgeObserver.
+// duplicate-work cost — with the hedge events visible to the probe.
 func TestFacadeHedged(t *testing.T) {
 	inst, err := flowsched.GenerateWorkload(flowsched.WorkloadConfig{
 		M: 4, N: 200, Rate: flowsched.RateForLoad(0.5, 4),
@@ -73,7 +72,7 @@ func TestFacadeHedged(t *testing.T) {
 			em.HedgesIssued, em.HedgeWinsCopy, em.HedgesCancelled, em.HedgesRevoked)
 	}
 	if probe.hedges != em.HedgesIssued || probe.copyWins != em.HedgeWinsCopy {
-		t.Fatalf("observer saw %d/%d, metrics report %d/%d",
+		t.Fatalf("probe saw %d/%d, metrics report %d/%d",
 			probe.hedges, probe.copyWins, em.HedgesIssued, em.HedgeWinsCopy)
 	}
 	if r := em.DuplicateRatio(); r < 0 || r >= 1 {

@@ -70,7 +70,7 @@ func TestFacadeObservability(t *testing.T) {
 	}
 
 	// Counters and exposition.
-	if counters.Arrivals != 400 || counters.Completions != 400 {
+	if counters.Count(flowsched.EventArrival) != 400 || counters.Count(flowsched.EventComplete) != 400 {
 		t.Errorf("counters %+v", counters)
 	}
 	var prom strings.Builder
@@ -111,7 +111,7 @@ func TestFacadeObservability(t *testing.T) {
 	if !reflect.DeepEqual(mf.Flows, mObs.Flows) {
 		t.Fatal("ObserveFaulty under nil plan diverged")
 	}
-	if counters2.Completions != 400 || counters2.Failovers != 0 {
+	if counters2.Count(flowsched.EventComplete) != 400 || counters2.Count(flowsched.EventFailover) != 0 {
 		t.Errorf("faulty counters %+v", counters2)
 	}
 }

@@ -8,26 +8,15 @@ import (
 	"flowsched"
 )
 
-// resilienceCounter counts the facade's resilience event stream.
-type resilienceCounter struct {
-	flowsched.BaseProbe
-	opens, probes, closes, budgetDrops int
-}
+// resilienceCounter counts the facade's event stream by kind.
+type resilienceCounter map[flowsched.EventKind]int
 
-func (r *resilienceCounter) OnBreakerOpen(server int, at flowsched.Time) { r.opens++ }
-func (r *resilienceCounter) OnBreakerProbe(server, task int, at flowsched.Time) {
-	r.probes++
-}
-func (r *resilienceCounter) OnBreakerClose(server int, at flowsched.Time) { r.closes++ }
-func (r *resilienceCounter) OnRetryBudgetDrop(task, attempts int, at flowsched.Time) {
-	r.budgetDrops++
-}
+func (r resilienceCounter) OnEvent(ev flowsched.Event) { r[ev.Kind]++ }
 
 // TestFacadeResilient exercises the resilience facade end to end: a nil
 // config reproduces SimulateHedged bit for bit, and a flapping outage under
 // a retry budget plus breakers trips the breaker, drops over-budget retries
-// and reports the ledger — with the event stream visible through
-// ResilienceObserver.
+// and reports the ledger — with the resilience events visible to the probe.
 func TestFacadeResilient(t *testing.T) {
 	inst, err := flowsched.GenerateWorkload(flowsched.WorkloadConfig{
 		M: 4, N: 300, Rate: flowsched.RateForLoad(0.6, 4),
@@ -70,7 +59,7 @@ func TestFacadeResilient(t *testing.T) {
 			Window: 2, FailureThreshold: 0.5, Cooldown: 8, HalfOpenProbes: 1,
 		},
 	}
-	probe := &resilienceCounter{}
+	probe := resilienceCounter{}
 	_, em, err := flowsched.SimulateResilient(inst, flowsched.RoundRobinRouter(), plan, policy, nil, nil, nil, rcfg, probe)
 	if err != nil {
 		t.Fatal(err)
@@ -85,10 +74,12 @@ func TestFacadeResilient(t *testing.T) {
 	if len(em.BreakerSpans) != em.BreakerOpens {
 		t.Fatalf("%d spans for %d opens", len(em.BreakerSpans), em.BreakerOpens)
 	}
-	if probe.opens != em.BreakerOpens || probe.probes != em.BreakerProbes ||
-		probe.closes != em.BreakerCloses || probe.budgetDrops != em.RetriesDropped {
-		t.Fatalf("observer saw %d/%d/%d/%d, metrics report %d/%d/%d/%d",
-			probe.opens, probe.probes, probe.closes, probe.budgetDrops,
+	opens, probes := probe[flowsched.EventBreakerOpen], probe[flowsched.EventBreakerProbe]
+	closes, budgetDrops := probe[flowsched.EventBreakerClose], probe[flowsched.EventRetryBudgetDrop]
+	if opens != em.BreakerOpens || probes != em.BreakerProbes ||
+		closes != em.BreakerCloses || budgetDrops != em.RetriesDropped {
+		t.Fatalf("probe saw %d/%d/%d/%d, metrics report %d/%d/%d/%d",
+			opens, probes, closes, budgetDrops,
 			em.BreakerOpens, em.BreakerProbes, em.BreakerCloses, em.RetriesDropped)
 	}
 

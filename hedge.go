@@ -6,7 +6,6 @@ package flowsched
 
 import (
 	"flowsched/internal/hedge"
-	"flowsched/internal/obs"
 	"flowsched/internal/sim"
 )
 
@@ -20,10 +19,6 @@ type (
 	// with CancelRunning). MaxHedges caps the copies issued per run. A nil
 	// *HedgeConfig makes SimulateHedged byte-identical to SimulateElastic.
 	HedgeConfig = hedge.Config
-	// HedgeObserver is the optional probe extension receiving the hedged
-	// execution event stream (copy dispatches, first-win decisions, loser
-	// cancellations).
-	HedgeObserver = obs.HedgeObserver
 )
 
 // SimulateHedged is SimulateElastic with hedged execution attached: when a
@@ -38,8 +33,8 @@ type (
 // time, and exactly one effective completion is recorded per task — the
 // invariants the auditor re-checks on every hedged chaos trial.
 //
-// A nil hcfg reproduces SimulateElastic bit for bit; probe may additionally
-// implement HedgeObserver to receive the hedge event stream.
+// A nil hcfg reproduces SimulateElastic bit for bit; the probe additionally
+// receives the hedge, hedge-win and hedge-cancel events.
 func SimulateHedged(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy, cfg *OverloadConfig, ecfg *ElasticConfig, hcfg *HedgeConfig, probe Probe) (*Schedule, *ElasticMetrics, error) {
 	return sim.RunHedged(inst, router, plan, policy, cfg, ecfg, hcfg, probe)
 }

@@ -247,7 +247,7 @@ type Report struct {
 	// Evidence maps each task named by a violation to its raw event history
 	// from the run's flight recorder. Populated only when Options.Recorder
 	// was set and the recorder held events for the task.
-	Evidence map[int][]obs.FlightEvent `json:"evidence,omitempty"`
+	Evidence map[int][]obs.Event `json:"evidence,omitempty"`
 }
 
 // Ok reports whether the audit found no violations.
@@ -298,7 +298,7 @@ func Audit(inst *core.Instance, s *core.Schedule, opts Options) *Report {
 			}
 			if evs := opts.Recorder.TaskEvents(v.Task); len(evs) > 0 {
 				if r.Evidence == nil {
-					r.Evidence = make(map[int][]obs.FlightEvent)
+					r.Evidence = make(map[int][]obs.Event)
 				}
 				r.Evidence[v.Task] = evs
 			}

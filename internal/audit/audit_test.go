@@ -263,9 +263,9 @@ func TestAuditAttachesEvidence(t *testing.T) {
 	s.Assign(1, 0, 3) // before release → violation names task 1
 
 	rec := obs.NewFlightRecorder(16)
-	rec.OnArrival(0, 0)
-	rec.OnArrival(1, 5)
-	rec.OnDispatch(1, 0, 5, 3, 4)
+	rec.OnEvent(obs.Event{Kind: obs.Arrival, T: 0, Task: 0})
+	rec.OnEvent(obs.Event{Kind: obs.Arrival, T: 5, Task: 1})
+	rec.OnEvent(obs.Event{Kind: obs.Dispatch, T: 5, Task: 1, Server: 0, Start: 3, End: 4})
 
 	opts := Options{SkipLowerBound: true, SkipFIFOEquiv: true, Recorder: rec}
 	r := Audit(inst, s, opts)
@@ -276,8 +276,8 @@ func TestAuditAttachesEvidence(t *testing.T) {
 	if !ok || len(evs) != 2 {
 		t.Fatalf("task 1 evidence = %+v, want its 2 recorded events", r.Evidence)
 	}
-	if evs[0].Ev != "arrival" || evs[1].Ev != "dispatch" {
-		t.Fatalf("task 1 evidence kinds = %q, %q", evs[0].Ev, evs[1].Ev)
+	if evs[0].Kind != obs.Arrival || evs[1].Kind != obs.Dispatch {
+		t.Fatalf("task 1 evidence kinds = %q, %q", evs[0].Kind, evs[1].Kind)
 	}
 	if _, ok := r.Evidence[0]; ok {
 		t.Fatal("clean task 0 must not appear in the evidence map")

@@ -685,7 +685,7 @@ type Failure struct {
 	// the flight ring), written next to the repro by cmd/chaos as
 	// <repro>.events.jsonl. Replaying the repro with a fresh recorder
 	// reproduces it exactly.
-	Events []obs.FlightEvent `json:"events,omitempty"`
+	Events []obs.Event `json:"events,omitempty"`
 }
 
 // Summary is the outcome of a soak run.

@@ -397,15 +397,15 @@ func TestFlightRecorderDumpReplay(t *testing.T) {
 	// the shrunk repro dispatches, and the run closes with a done marker.
 	dispatched := map[int]bool{}
 	for _, ev := range events {
-		if ev.Ev == "dispatch" {
+		if ev.Kind == obs.Dispatch {
 			dispatched[ev.Task] = true
 		}
 	}
 	if len(dispatched) != repro.N() {
 		t.Fatalf("dump shows %d dispatched tasks, repro has %d", len(dispatched), repro.N())
 	}
-	if last := events[len(events)-1]; last.Ev != "done" {
-		t.Fatalf("dump ends with %q, want done", last.Ev)
+	if last := events[len(events)-1]; last.Kind != obs.Done {
+		t.Fatalf("dump ends with %q, want done", last.Kind)
 	}
 
 	// Round trip through the on-disk JSONL form.
@@ -479,8 +479,8 @@ func TestRunAttachesFlightEvents(t *testing.T) {
 		}
 		// A sim-error aborts mid-run, so its dump legitimately stops at the
 		// failing instant; every completed replay must close with done.
-		if last := f.Events[len(f.Events)-1]; !simError && last.Ev != "done" {
-			t.Errorf("trial %d event stream ends with %q, want done", f.Params.Trial, last.Ev)
+		if last := f.Events[len(f.Events)-1]; !simError && last.Kind != obs.Done {
+			t.Errorf("trial %d event stream ends with %q, want done", f.Params.Trial, last.Kind)
 		}
 	}
 }

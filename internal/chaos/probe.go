@@ -14,50 +14,21 @@ import (
 // stream independently and compares its totals against the metrics the run
 // reports. Any disagreement means the simulator's bookkeeping and its event
 // stream have diverged — a bug neither the schedule auditor nor the metrics
-// alone would catch. It also observes the overload-control stream
-// (obs.OverloadObserver), so guarded trials cross-check rejections, sheds
-// and ejections the same way, and the membership stream
-// (obs.MembershipObserver), so churn trials cross-check scale-ups, joins,
-// drains and handoffs against the run's metrics and membership log, and the
-// resilience stream (obs.ResilienceObserver), so resilient trials
-// cross-check breaker transitions, probe dispatches and retry-budget drops
-// against the run's metrics.
+// alone would catch. The totals of every kind come from the embedded
+// obs.Counters, so guarded, churn, hedged and resilient trials cross-check
+// rejections, sheds, ejections, scale-ups, joins, drains, handoffs, hedge
+// resolutions, breaker transitions and retry-budget drops the same way; the
+// probe itself keeps only the per-task views the metrics also record.
 type countProbe struct {
-	obs.BaseProbe
-	arrivals   int
-	dispatches int
-	completes  int
-	drops      int
-	retries    int
-	ends       []core.Time // per-task final completion; NaN = never completed
-	makespan   core.Time
-	doneCalls  int
-
-	rejects      int
-	sheds        int
-	ejections    int
-	readmissions int
-	rejected     []bool
-	shed         []bool
-
-	scaleUps      int
-	joins         int
-	scaleDowns    int
-	handoffs      int
+	obs.Counters
+	ends          []core.Time // per-task final completion; NaN = never completed
+	makespan      core.Time
 	drainHandoffs int // handoff totals as reported by the drain events
-	warmUp        core.Time
 
-	hedges       int
-	hedgeWins    int
-	copyWins     int
-	hedgeCancels int
-	hedged       []bool
-	wonByCopy    []bool
-
-	breakerOpens  int
-	breakerCloses int
-	breakerProbes int
-	budgetDrops   int
+	rejected      []bool
+	shed          []bool
+	hedged        []bool
+	wonByCopy     []bool
 	probed        []bool
 	budgetDropped []bool
 }
@@ -74,112 +45,42 @@ func newCountProbe(n int) *countProbe {
 	}
 }
 
-func (c *countProbe) OnArrival(task int, release core.Time) { c.arrivals++ }
-
-func (c *countProbe) OnDispatch(task, server int, at, start, end core.Time) { c.dispatches++ }
-
-func (c *countProbe) OnComplete(task, server int, release, proc, end core.Time) {
-	c.completes++
-	if task >= 0 && task < len(c.ends) {
-		c.ends[task] = end
-	}
-}
-
-func (c *countProbe) OnDrop(task int, release, at core.Time) { c.drops++ }
-
-func (c *countProbe) OnRetry(task, attempt int, at core.Time) { c.retries++ }
-
-func (c *countProbe) OnDone(makespan core.Time) {
-	c.makespan = makespan
-	c.doneCalls++
-}
-
-// OnReject implements obs.OverloadObserver.
-func (c *countProbe) OnReject(task int, at core.Time, reason string) {
-	c.rejects++
-	if task >= 0 && task < len(c.rejected) {
-		c.rejected[task] = true
-	}
-}
-
-// OnShed implements obs.OverloadObserver.
-func (c *countProbe) OnShed(task, server int, release, at core.Time, reason string) {
-	c.sheds++
-	if task >= 0 && task < len(c.shed) {
-		c.shed[task] = true
-	}
-}
-
-// OnEject implements obs.OverloadObserver.
-func (c *countProbe) OnEject(server int, at core.Time) { c.ejections++ }
-
-// OnReadmit implements obs.OverloadObserver.
-func (c *countProbe) OnReadmit(server int, at core.Time) { c.readmissions++ }
-
-// OnBrownout implements obs.OverloadObserver.
-func (c *countProbe) OnBrownout(at core.Time, active bool) {}
-
-// OnScaleUp implements obs.MembershipObserver.
-func (c *countProbe) OnScaleUp(machine int, at, ready core.Time) {
-	c.scaleUps++
-	c.warmUp += ready - at
-}
-
-// OnJoin implements obs.MembershipObserver.
-func (c *countProbe) OnJoin(machine int, at core.Time, members int) { c.joins++ }
-
-// OnScaleDown implements obs.MembershipObserver.
-func (c *countProbe) OnScaleDown(machine int, at core.Time, members, handoffs int) {
-	c.scaleDowns++
-	c.drainHandoffs += handoffs
-}
-
-// OnHandoff implements obs.MembershipObserver.
-func (c *countProbe) OnHandoff(task, from int, at core.Time) { c.handoffs++ }
-
-// OnHedge implements obs.HedgeObserver.
-func (c *countProbe) OnHedge(task, from, to int, at, start, end core.Time) {
-	c.hedges++
-	if task >= 0 && task < len(c.hedged) {
-		c.hedged[task] = true
-	}
-}
-
-// OnHedgeWin implements obs.HedgeObserver.
-func (c *countProbe) OnHedgeWin(task, server int, byCopy bool, at core.Time) {
-	c.hedgeWins++
-	if byCopy {
-		c.copyWins++
-		if task >= 0 && task < len(c.wonByCopy) {
-			c.wonByCopy[task] = true
+// OnEvent implements obs.Probe.
+func (c *countProbe) OnEvent(ev obs.Event) {
+	c.Counters.OnEvent(ev)
+	mark := func(flags []bool) {
+		if ev.Task >= 0 && ev.Task < len(flags) {
+			flags[ev.Task] = true
 		}
 	}
-}
-
-// OnHedgeCancel implements obs.HedgeObserver.
-func (c *countProbe) OnHedgeCancel(task, server int, at core.Time, started bool) { c.hedgeCancels++ }
-
-// OnBreakerOpen implements obs.ResilienceObserver.
-func (c *countProbe) OnBreakerOpen(server int, at core.Time) { c.breakerOpens++ }
-
-// OnBreakerProbe implements obs.ResilienceObserver.
-func (c *countProbe) OnBreakerProbe(server, task int, at core.Time) {
-	c.breakerProbes++
-	if task >= 0 && task < len(c.probed) {
-		c.probed[task] = true
+	switch ev.Kind {
+	case obs.Complete:
+		if ev.Task >= 0 && ev.Task < len(c.ends) {
+			c.ends[ev.Task] = ev.T
+		}
+	case obs.Done:
+		c.makespan = ev.T
+	case obs.ScaleDown:
+		c.drainHandoffs += ev.Handoffs
+	case obs.Reject:
+		mark(c.rejected)
+	case obs.Shed:
+		mark(c.shed)
+	case obs.Hedge:
+		mark(c.hedged)
+	case obs.HedgeWin:
+		if ev.Copy {
+			mark(c.wonByCopy)
+		}
+	case obs.BreakerProbe:
+		mark(c.probed)
+	case obs.RetryBudgetDrop:
+		mark(c.budgetDropped)
 	}
 }
 
-// OnBreakerClose implements obs.ResilienceObserver.
-func (c *countProbe) OnBreakerClose(server int, at core.Time) { c.breakerCloses++ }
-
-// OnRetryBudgetDrop implements obs.ResilienceObserver.
-func (c *countProbe) OnRetryBudgetDrop(task, attempts int, at core.Time) {
-	c.budgetDrops++
-	if task >= 0 && task < len(c.budgetDropped) {
-		c.budgetDropped[task] = true
-	}
-}
+// count returns the number of events of kind k, as an int.
+func (c *countProbe) count(k obs.Kind) int { return int(c.Count(k)) }
 
 // crossCheck compares the probe's event counts against the run's metrics
 // and returns one InvProbe violation per disagreement.
@@ -190,36 +91,36 @@ func (c *countProbe) crossCheck(inst *core.Instance, om *sim.OverloadMetrics) []
 			Detail: fmt.Sprintf(format, args...)})
 	}
 	n := inst.N()
-	if c.arrivals != n {
-		bad("probe saw %d arrivals for %d tasks", c.arrivals, n)
+	if c.count(obs.Arrival) != n {
+		bad("probe saw %d arrivals for %d tasks", c.count(obs.Arrival), n)
 	}
 	attempts := 0
 	for _, a := range om.Attempts {
 		attempts += a
 	}
-	if c.dispatches != attempts {
-		bad("probe saw %d dispatches, metrics report %d attempts", c.dispatches, attempts)
+	if c.count(obs.Dispatch) != attempts {
+		bad("probe saw %d dispatches, metrics report %d attempts", c.count(obs.Dispatch), attempts)
 	}
-	if rejected := om.RejectedCount(); c.rejects != rejected {
-		bad("probe saw %d rejections, metrics report %d", c.rejects, rejected)
+	if rejected := om.RejectedCount(); c.count(obs.Reject) != rejected {
+		bad("probe saw %d rejections, metrics report %d", c.count(obs.Reject), rejected)
 	}
-	if shed := om.ShedCount(); c.sheds != shed {
-		bad("probe saw %d sheds, metrics report %d", c.sheds, shed)
+	if shed := om.ShedCount(); c.count(obs.Shed) != shed {
+		bad("probe saw %d sheds, metrics report %d", c.count(obs.Shed), shed)
 	}
-	if c.ejections != om.Ejections {
-		bad("probe saw %d ejections, metrics report %d", c.ejections, om.Ejections)
+	if c.count(obs.Eject) != om.Ejections {
+		bad("probe saw %d ejections, metrics report %d", c.count(obs.Eject), om.Ejections)
 	}
-	if c.readmissions != om.Readmissions {
-		bad("probe saw %d readmissions, metrics report %d", c.readmissions, om.Readmissions)
+	if c.count(obs.Readmit) != om.Readmissions {
+		bad("probe saw %d readmissions, metrics report %d", c.count(obs.Readmit), om.Readmissions)
 	}
 	excluded := om.DroppedCount() + om.RejectedCount() + om.ShedCount()
-	if dropped := om.DroppedCount(); c.drops != dropped {
-		bad("probe saw %d drops, metrics report %d", c.drops, dropped)
-	} else if c.completes != n-excluded {
-		bad("probe saw %d completions for %d completed tasks", c.completes, n-excluded)
+	if dropped := om.DroppedCount(); c.count(obs.Drop) != dropped {
+		bad("probe saw %d drops, metrics report %d", c.count(obs.Drop), dropped)
+	} else if c.count(obs.Complete) != n-excluded {
+		bad("probe saw %d completions for %d completed tasks", c.count(obs.Complete), n-excluded)
 	}
-	if c.doneCalls != 1 {
-		bad("OnDone fired %d times", c.doneCalls)
+	if c.count(obs.Done) != 1 {
+		bad("done fired %d times", c.count(obs.Done))
 	} else if c.makespan != om.Makespan {
 		bad("probe makespan %v, metrics report %v", c.makespan, om.Makespan)
 	}
@@ -274,8 +175,8 @@ func (c *countProbe) crossCheckHedge(inst *core.Instance, em *sim.ElasticMetrics
 			Detail: fmt.Sprintf(format, args...)})
 	}
 	if !hedged {
-		if c.hedges != 0 || c.hedgeWins != 0 || c.hedgeCancels != 0 {
-			bad("unhedged run emitted hedge events (%d/%d/%d)", c.hedges, c.hedgeWins, c.hedgeCancels)
+		if c.count(obs.Hedge) != 0 || c.count(obs.HedgeWin) != 0 || c.count(obs.HedgeCancel) != 0 {
+			bad("unhedged run emitted hedge events (%d/%d/%d)", c.count(obs.Hedge), c.count(obs.HedgeWin), c.count(obs.HedgeCancel))
 		}
 		if em.HedgesIssued != 0 || em.Hedged != nil {
 			bad("unhedged run carries hedge metrics (issued=%d)", em.HedgesIssued)
@@ -288,20 +189,20 @@ func (c *countProbe) crossCheckHedge(inst *core.Instance, em *sim.ElasticMetrics
 		bad("hedge resolution broken: issued %d ≠ copy-wins %d + cancelled %d + revoked %d",
 			em.HedgesIssued, em.HedgeWinsCopy, em.HedgesCancelled, em.HedgesRevoked)
 	}
-	if c.hedges != em.HedgesIssued {
-		bad("probe saw %d hedges, metrics report %d", c.hedges, em.HedgesIssued)
+	if c.count(obs.Hedge) != em.HedgesIssued {
+		bad("probe saw %d hedges, metrics report %d", c.count(obs.Hedge), em.HedgesIssued)
 	}
-	if wins := em.HedgeWinsPrimary + em.HedgeWinsCopy; c.hedgeWins != wins {
-		bad("probe saw %d hedge wins, metrics report %d", c.hedgeWins, wins)
+	if wins := em.HedgeWinsPrimary + em.HedgeWinsCopy; c.count(obs.HedgeWin) != wins {
+		bad("probe saw %d hedge wins, metrics report %d", c.count(obs.HedgeWin), wins)
 	}
-	if c.copyWins != em.HedgeWinsCopy {
-		bad("probe saw %d copy wins, metrics report %d", c.copyWins, em.HedgeWinsCopy)
+	if int(c.HedgeCopyWins) != em.HedgeWinsCopy {
+		bad("probe saw %d copy wins, metrics report %d", int(c.HedgeCopyWins), em.HedgeWinsCopy)
 	}
 	// Cancel events cover every losing copy plus at most one primary-side
 	// cancellation per hedged task (a copy win, or a tied revocation).
-	if lo := em.HedgesCancelled + em.HedgesRevoked; c.hedgeCancels < lo || c.hedgeCancels > lo+em.HedgesIssued {
+	if lo := em.HedgesCancelled + em.HedgesRevoked; c.count(obs.HedgeCancel) < lo || c.count(obs.HedgeCancel) > lo+em.HedgesIssued {
 		bad("probe saw %d hedge cancels for %d cancelled + %d revoked copies (%d issued)",
-			c.hedgeCancels, em.HedgesCancelled, em.HedgesRevoked, em.HedgesIssued)
+			c.count(obs.HedgeCancel), em.HedgesCancelled, em.HedgesRevoked, em.HedgesIssued)
 	}
 	if em.DuplicateWork < 0 || em.CancelledWork < 0 {
 		bad("negative hedge work accounting: duplicate %v, cancelled %v", em.DuplicateWork, em.CancelledWork)
@@ -329,9 +230,9 @@ func (c *countProbe) crossCheckResilience(inst *core.Instance, em *sim.ElasticMe
 			Detail: fmt.Sprintf(format, args...)})
 	}
 	if !resilient {
-		if c.breakerOpens != 0 || c.breakerProbes != 0 || c.breakerCloses != 0 || c.budgetDrops != 0 {
+		if c.count(obs.BreakerOpen) != 0 || c.count(obs.BreakerProbe) != 0 || c.count(obs.BreakerClose) != 0 || c.count(obs.RetryBudgetDrop) != 0 {
 			bad("unprotected run emitted resilience events (%d/%d/%d/%d)",
-				c.breakerOpens, c.breakerProbes, c.breakerCloses, c.budgetDrops)
+				c.count(obs.BreakerOpen), c.count(obs.BreakerProbe), c.count(obs.BreakerClose), c.count(obs.RetryBudgetDrop))
 		}
 		if em.RetriesRequested != 0 || em.RetriesIssued != 0 || em.RetriesDropped != 0 {
 			bad("unprotected run carries a retry-budget ledger (%d/%d/%d)",
@@ -346,17 +247,17 @@ func (c *countProbe) crossCheckResilience(inst *core.Instance, em *sim.ElasticMe
 		bad("budget conservation broken: issued %d + dropped %d ≠ requested %d",
 			em.RetriesIssued, em.RetriesDropped, em.RetriesRequested)
 	}
-	if c.budgetDrops != em.RetriesDropped {
-		bad("probe saw %d budget drops, metrics report %d", c.budgetDrops, em.RetriesDropped)
+	if c.count(obs.RetryBudgetDrop) != em.RetriesDropped {
+		bad("probe saw %d budget drops, metrics report %d", c.count(obs.RetryBudgetDrop), em.RetriesDropped)
 	}
-	if c.breakerOpens != em.BreakerOpens {
-		bad("probe saw %d breaker opens, metrics report %d", c.breakerOpens, em.BreakerOpens)
+	if c.count(obs.BreakerOpen) != em.BreakerOpens {
+		bad("probe saw %d breaker opens, metrics report %d", c.count(obs.BreakerOpen), em.BreakerOpens)
 	}
-	if c.breakerCloses != em.BreakerCloses {
-		bad("probe saw %d breaker closes, metrics report %d", c.breakerCloses, em.BreakerCloses)
+	if c.count(obs.BreakerClose) != em.BreakerCloses {
+		bad("probe saw %d breaker closes, metrics report %d", c.count(obs.BreakerClose), em.BreakerCloses)
 	}
-	if c.breakerProbes != em.BreakerProbes {
-		bad("probe saw %d breaker probes, metrics report %d", c.breakerProbes, em.BreakerProbes)
+	if c.count(obs.BreakerProbe) != em.BreakerProbes {
+		bad("probe saw %d breaker probes, metrics report %d", c.count(obs.BreakerProbe), em.BreakerProbes)
 	}
 	if em.BreakerOpens != len(em.BreakerSpans) {
 		bad("metrics report %d breaker opens for %d recorded spans", em.BreakerOpens, len(em.BreakerSpans))
@@ -366,7 +267,7 @@ func (c *countProbe) crossCheckResilience(inst *core.Instance, em *sim.ElasticMe
 			bad("task %d budget-dropped flag: probe %v, metrics %v", i, c.budgetDropped[i], em.BudgetDropped[i])
 		}
 		// ProbeDispatch marks tasks whose final dispatch was a half-open
-		// probe; every such dispatch fired OnBreakerProbe (the converse need
+		// probe; every such dispatch emitted breaker-probe (the converse need
 		// not hold — an aborted probe clears the flag, not the event).
 		if em.ProbeDispatch != nil && em.ProbeDispatch[i] && !c.probed[i] {
 			bad("task %d marked a probe dispatch without a breaker-probe event", i)
@@ -384,23 +285,23 @@ func (c *countProbe) crossCheckElastic(inst *core.Instance, em *sim.ElasticMetri
 		vs = append(vs, audit.Violation{Invariant: InvProbe, Task: -1, Machine: -1,
 			Detail: fmt.Sprintf(format, args...)})
 	}
-	if c.scaleUps != em.ScaleUps {
-		bad("probe saw %d scale-ups, metrics report %d", c.scaleUps, em.ScaleUps)
+	if c.count(obs.ScaleUp) != em.ScaleUps {
+		bad("probe saw %d scale-ups, metrics report %d", c.count(obs.ScaleUp), em.ScaleUps)
 	}
-	if c.scaleDowns != em.ScaleDowns {
-		bad("probe saw %d scale-downs, metrics report %d", c.scaleDowns, em.ScaleDowns)
+	if c.count(obs.ScaleDown) != em.ScaleDowns {
+		bad("probe saw %d scale-downs, metrics report %d", c.count(obs.ScaleDown), em.ScaleDowns)
 	}
-	if c.handoffs != em.Handoffs {
-		bad("probe saw %d handoffs, metrics report %d", c.handoffs, em.Handoffs)
+	if c.count(obs.Handoff) != em.Handoffs {
+		bad("probe saw %d handoffs, metrics report %d", c.count(obs.Handoff), em.Handoffs)
 	}
-	if c.drainHandoffs != c.handoffs {
-		bad("drain events total %d handoffs, per-task events total %d", c.drainHandoffs, c.handoffs)
+	if c.drainHandoffs != c.count(obs.Handoff) {
+		bad("drain events total %d handoffs, per-task events total %d", c.drainHandoffs, c.count(obs.Handoff))
 	}
-	if c.joins > c.scaleUps {
-		bad("probe saw %d joins for %d scale-ups", c.joins, c.scaleUps)
+	if c.count(obs.Join) > c.count(obs.ScaleUp) {
+		bad("probe saw %d joins for %d scale-ups", c.count(obs.Join), c.count(obs.ScaleUp))
 	}
-	if math.Abs(float64(c.warmUp-em.WarmUpTime)) > 1e-9*(1+math.Abs(float64(em.WarmUpTime))) {
-		bad("probe accumulated warm-up %v, metrics report %v", c.warmUp, em.WarmUpTime)
+	if math.Abs(float64(c.WarmUpTime-em.WarmUpTime)) > 1e-9*(1+math.Abs(float64(em.WarmUpTime))) {
+		bad("probe accumulated warm-up %v, metrics report %v", c.WarmUpTime, em.WarmUpTime)
 	}
 	ms := em.Membership
 	if ms == nil {
@@ -418,11 +319,11 @@ func (c *countProbe) crossCheckElastic(inst *core.Instance, em *sim.ElasticMetri
 			drains++
 		}
 	}
-	if joins != c.joins {
-		bad("membership log has %d joins, probe saw %d", joins, c.joins)
+	if joins != c.count(obs.Join) {
+		bad("membership log has %d joins, probe saw %d", joins, c.count(obs.Join))
 	}
-	if drains != c.scaleDowns {
-		bad("membership log has %d drains, probe saw %d", drains, c.scaleDowns)
+	if drains != c.count(obs.ScaleDown) {
+		bad("membership log has %d drains, probe saw %d", drains, c.count(obs.ScaleDown))
 	}
 	if len(em.Dispatched) != inst.N() {
 		bad("dispatch log has %d entries for %d tasks", len(em.Dispatched), inst.N())

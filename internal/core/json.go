@@ -19,7 +19,7 @@ type NullTime Time
 
 // MarshalJSON implements json.Marshaler: null for non-finite values.
 func (t NullTime) MarshalJSON() ([]byte, error) {
-	return appendTimeJSON(nil, Time(t)), nil
+	return AppendTimeJSON(nil, Time(t)), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler: null decodes to NaN.
@@ -54,7 +54,7 @@ func (ts Times) MarshalJSON() ([]byte, error) {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendTimeJSON(buf, t)
+		buf = AppendTimeJSON(buf, t)
 	}
 	return append(buf, ']'), nil
 }
@@ -81,10 +81,10 @@ func (ts *Times) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// appendTimeJSON appends t's JSON form: null for non-finite values, otherwise
+// AppendTimeJSON appends t's JSON form: null for non-finite values, otherwise
 // exactly encoding/json's float64 encoding (shortest round-trip form, %e only
 // for very small or very large magnitudes, exponent zero-trimmed).
-func appendTimeJSON(buf []byte, t Time) []byte {
+func AppendTimeJSON(buf []byte, t Time) []byte {
 	f := float64(t)
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return append(buf, "null"...)

@@ -105,18 +105,15 @@ type MetastableResult struct {
 	Gray  []MetastableGrayRow
 }
 
-// ejectClock records the first ejection instant of a run (the overload
-// observer hook rides along on the standard probe interface).
+// ejectClock is a probe recording the first ejection instant of a run.
 type ejectClock struct {
-	obs.BaseProbe
-	obs.BaseOverloadObserver
 	first core.Time
 	seen  bool
 }
 
-func (e *ejectClock) OnEject(server int, at core.Time) {
-	if !e.seen {
-		e.first, e.seen = at, true
+func (e *ejectClock) OnEvent(ev obs.Event) {
+	if ev.Kind == obs.Eject && !e.seen {
+		e.first, e.seen = ev.T, true
 	}
 }
 

@@ -7,169 +7,73 @@ import (
 	"flowsched/internal/core"
 )
 
-// Counters is a Probe that tallies the run's event totals — the counter set
-// a production scheduler would export. WriteProm renders them in the
-// Prometheus text exposition format.
+// Counters is a Probe that tallies the run's events — the counter set a
+// production scheduler would export: one total per kind, plus four values
+// derived from event fields. WriteProm renders them in the Prometheus text
+// exposition format.
 type Counters struct {
-	BaseProbe
-	Arrivals    int64 // requests released
-	Dispatches  int64 // dispatch attempts (> Arrivals under failover)
-	Completions int64 // final completions
-	Retries     int64 // re-dispatches scheduled after a crash
-	Drops       int64 // requests given up (attempt cap or timeout)
-	Failovers   int64 // server crashes observed
-	Lost        int64 // queued-or-running requests lost to crashes
+	n [NumKinds]int64
 
-	// Overload-control totals (sim.RunGuarded with a config; zero otherwise).
-	Rejections   int64 // tasks turned away by admission control
-	Sheds        int64 // tasks shed mid-run (watermark trims, deadline enforcement)
-	Ejections    int64 // servers ejected by the outlier detector
-	Readmissions int64 // ejected servers re-admitted after cooldown
-	Brownouts    int64 // rising edges of the SLO guard's brownout signal
-
-	// Elastic-membership totals (sim.RunElastic with a config; zero otherwise).
-	ScaleUps   int64     // scale-up decisions committed
-	Joins      int64     // machines that finished warm-up and went active
-	ScaleDowns int64     // machines drained out of the ring
-	Handoffs   int64     // queued tasks handed off from draining machines
-	WarmUpTime core.Time // total warm-up delay imposed on joiners
-
-	// Hedged-execution totals (sim.RunHedged with a config; zero otherwise).
-	Hedges        int64 // speculative copies dispatched
-	HedgeWins     int64 // hedged tasks completed (either attempt)
-	HedgeCopyWins int64 // hedged tasks whose speculative copy won
-	HedgeCancels  int64 // losing attempts abandoned (cancelled, revoked, crashed)
-
-	// Resilience totals (sim.RunResilient with a config; zero otherwise).
-	BreakerOpens     int64 // breaker open episodes (window trips and probe failures)
-	BreakerCloses    int64 // probe-success closes
-	BreakerProbes    int64 // half-open probe dispatches
-	RetryBudgetDrops int64 // retries refused by the retry budget
+	Lost          int64     // queued-or-running requests lost to crashes (Σ failover Lost)
+	WarmUpTime    core.Time // total warm-up delay imposed on joiners (Σ scale-up Ready − T)
+	HedgeCopyWins int64     // hedged tasks whose speculative copy won
+	Brownouts     int64     // rising edges of the SLO guard's brownout signal
 }
 
-// OnArrival implements Probe.
-func (c *Counters) OnArrival(task int, release core.Time) { c.Arrivals++ }
-
-// OnDispatch implements Probe.
-func (c *Counters) OnDispatch(task, server int, at, start, end core.Time) { c.Dispatches++ }
-
-// OnComplete implements Probe.
-func (c *Counters) OnComplete(task, server int, release, proc, end core.Time) { c.Completions++ }
-
-// OnDrop implements Probe.
-func (c *Counters) OnDrop(task int, release, at core.Time) { c.Drops++ }
-
-// OnRetry implements Probe.
-func (c *Counters) OnRetry(task, attempt int, at core.Time) { c.Retries++ }
-
-// OnFailover implements Probe.
-func (c *Counters) OnFailover(server int, at core.Time, lost int) {
-	c.Failovers++
-	c.Lost += int64(lost)
-}
-
-// OnReject implements OverloadObserver.
-func (c *Counters) OnReject(task int, at core.Time, reason string) { c.Rejections++ }
-
-// OnShed implements OverloadObserver.
-func (c *Counters) OnShed(task, server int, release, at core.Time, reason string) { c.Sheds++ }
-
-// OnEject implements OverloadObserver.
-func (c *Counters) OnEject(server int, at core.Time) { c.Ejections++ }
-
-// OnReadmit implements OverloadObserver.
-func (c *Counters) OnReadmit(server int, at core.Time) { c.Readmissions++ }
-
-// OnBrownout implements OverloadObserver.
-func (c *Counters) OnBrownout(at core.Time, active bool) {
-	if active {
-		c.Brownouts++
+// OnEvent implements Probe.
+func (c *Counters) OnEvent(ev Event) {
+	c.n[ev.Kind]++
+	switch ev.Kind {
+	case Failover:
+		c.Lost += int64(ev.Lost)
+	case ScaleUp:
+		c.WarmUpTime += ev.Ready - ev.T
+	case HedgeWin:
+		if ev.Copy {
+			c.HedgeCopyWins++
+		}
+	case Brownout:
+		if ev.Active {
+			c.Brownouts++
+		}
 	}
 }
 
-// OnScaleUp implements MembershipObserver.
-func (c *Counters) OnScaleUp(machine int, at, ready core.Time) {
-	c.ScaleUps++
-	c.WarmUpTime += ready - at
-}
-
-// OnJoin implements MembershipObserver.
-func (c *Counters) OnJoin(machine int, at core.Time, members int) { c.Joins++ }
-
-// OnScaleDown implements MembershipObserver.
-func (c *Counters) OnScaleDown(machine int, at core.Time, members, handoffs int) { c.ScaleDowns++ }
-
-// OnHandoff implements MembershipObserver.
-func (c *Counters) OnHandoff(task, from int, at core.Time) { c.Handoffs++ }
-
-// OnHedge implements HedgeObserver.
-func (c *Counters) OnHedge(task, from, to int, at, start, end core.Time) { c.Hedges++ }
-
-// OnHedgeWin implements HedgeObserver.
-func (c *Counters) OnHedgeWin(task, server int, byCopy bool, at core.Time) {
-	c.HedgeWins++
-	if byCopy {
-		c.HedgeCopyWins++
-	}
-}
-
-// OnHedgeCancel implements HedgeObserver.
-func (c *Counters) OnHedgeCancel(task, server int, at core.Time, started bool) { c.HedgeCancels++ }
-
-// OnBreakerOpen implements ResilienceObserver.
-func (c *Counters) OnBreakerOpen(server int, at core.Time) { c.BreakerOpens++ }
-
-// OnBreakerProbe implements ResilienceObserver.
-func (c *Counters) OnBreakerProbe(server, task int, at core.Time) { c.BreakerProbes++ }
-
-// OnBreakerClose implements ResilienceObserver.
-func (c *Counters) OnBreakerClose(server int, at core.Time) { c.BreakerCloses++ }
-
-// OnRetryBudgetDrop implements ResilienceObserver.
-func (c *Counters) OnRetryBudgetDrop(task, attempts int, at core.Time) { c.RetryBudgetDrops++ }
+// Count returns the number of events of kind k seen so far.
+func (c *Counters) Count(k Kind) int64 { return c.n[k] }
 
 // WriteProm writes the counters in the Prometheus text exposition format
-// under the flowsched_ namespace.
+// under the flowsched_ namespace: each kind's counter in table order (the
+// brownout family counts rising edges), lost tasks after failovers, copy
+// wins after hedge wins, and the warm-up time last.
 func (c *Counters) WriteProm(w io.Writer) error {
-	for _, row := range []struct {
-		name, help string
-		value      int64
-	}{
-		{"flowsched_arrivals_total", "Requests released.", c.Arrivals},
-		{"flowsched_dispatches_total", "Dispatch attempts (failover re-dispatches included).", c.Dispatches},
-		{"flowsched_completions_total", "Requests completed.", c.Completions},
-		{"flowsched_retries_total", "Failover re-dispatches scheduled after a crash.", c.Retries},
-		{"flowsched_drops_total", "Requests dropped by the retry policy.", c.Drops},
-		{"flowsched_failovers_total", "Server crashes observed.", c.Failovers},
-		{"flowsched_lost_tasks_total", "Queued-or-running requests lost to crashes.", c.Lost},
-		{"flowsched_rejections_total", "Tasks rejected by admission control.", c.Rejections},
-		{"flowsched_sheds_total", "Tasks shed mid-run by overload control.", c.Sheds},
-		{"flowsched_ejections_total", "Servers ejected by outlier detection.", c.Ejections},
-		{"flowsched_readmissions_total", "Ejected servers re-admitted after cooldown.", c.Readmissions},
-		{"flowsched_brownouts_total", "Brownout signal rising edges.", c.Brownouts},
-		{"flowsched_scale_ups_total", "Elastic scale-up decisions committed.", c.ScaleUps},
-		{"flowsched_joins_total", "Machines that finished warm-up and went active.", c.Joins},
-		{"flowsched_scale_downs_total", "Machines drained out of the ring.", c.ScaleDowns},
-		{"flowsched_handoffs_total", "Queued tasks handed off from draining machines.", c.Handoffs},
-		{"flowsched_hedges_total", "Speculative hedge copies dispatched.", c.Hedges},
-		{"flowsched_hedge_wins_total", "Hedged tasks completed.", c.HedgeWins},
-		{"flowsched_hedge_copy_wins_total", "Hedged tasks won by the speculative copy.", c.HedgeCopyWins},
-		{"flowsched_hedge_cancels_total", "Losing hedge attempts abandoned.", c.HedgeCancels},
-		{"flowsched_breaker_opens_total", "Circuit breaker open episodes.", c.BreakerOpens},
-		{"flowsched_breaker_closes_total", "Circuit breakers closed by probe success.", c.BreakerCloses},
-		{"flowsched_breaker_probes_total", "Half-open breaker probe dispatches.", c.BreakerProbes},
-		{"flowsched_retry_budget_drops_total", "Retries refused by the retry budget.", c.RetryBudgetDrops},
-	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			row.name, row.help, row.name, row.name, row.value); err != nil {
-			return err
+	type row struct{ name, help, value string }
+	var rows []row
+	for k, d := range kinds {
+		if d.prom == "" {
+			continue
+		}
+		v := c.n[k]
+		if Kind(k) == Brownout {
+			v = c.Brownouts
+		}
+		rows = append(rows, row{d.prom, d.help, fmt.Sprint(v)})
+		switch Kind(k) {
+		case Failover:
+			rows = append(rows, row{"flowsched_lost_tasks_total", "Queued-or-running requests lost to crashes.", fmt.Sprint(c.Lost)})
+		case HedgeWin:
+			rows = append(rows, row{"flowsched_hedge_copy_wins_total", "Hedged tasks won by the speculative copy.", fmt.Sprint(c.HedgeCopyWins)})
 		}
 	}
 	// Seconds-valued counter: the float renders with %g, and the family
 	// carries the _total suffix like every other counter here (promlint
 	// contract pinned by TestCountersPromExposition).
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n",
-		"flowsched_warm_up_time_total", "Total warm-up delay imposed on joining machines.",
-		"flowsched_warm_up_time_total", "flowsched_warm_up_time_total", float64(c.WarmUpTime))
-	return err
+	rows = append(rows, row{"flowsched_warm_up_time_total", "Total warm-up delay imposed on joining machines.",
+		fmt.Sprintf("%g", float64(c.WarmUpTime))})
+	for _, r := range rows {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n", r.name, r.help, r.name, r.name, r.value); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -12,13 +12,13 @@ import (
 // a _total suffix) fails here instead of in a dashboard.
 func TestCountersPromExposition(t *testing.T) {
 	c := Counters{
-		Arrivals: 1, Dispatches: 2, Completions: 3, Retries: 4, Drops: 5,
-		Failovers: 6, Lost: 7, Rejections: 8, Sheds: 9, Ejections: 10,
-		Readmissions: 11, Brownouts: 12, ScaleUps: 13, Joins: 14,
-		ScaleDowns: 15, Handoffs: 16, WarmUpTime: 17.5,
-		Hedges: 18, HedgeWins: 19, HedgeCopyWins: 20, HedgeCancels: 21,
-		BreakerOpens: 22, BreakerCloses: 23, BreakerProbes: 24,
-		RetryBudgetDrops: 25,
+		n: [NumKinds]int64{
+			Arrival: 1, Dispatch: 2, Complete: 3, Retry: 4, Drop: 5, Failover: 6,
+			Reject: 8, Shed: 9, Eject: 10, Readmit: 11, ScaleUp: 13, Join: 14,
+			ScaleDown: 15, Handoff: 16, Hedge: 18, HedgeWin: 19, HedgeCancel: 21,
+			BreakerOpen: 22, BreakerClose: 23, BreakerProbe: 24, RetryBudgetDrop: 25,
+		},
+		Lost: 7, Brownouts: 12, WarmUpTime: 17.5, HedgeCopyWins: 20,
 	}
 	var b strings.Builder
 	if err := c.WriteProm(&b); err != nil {
@@ -74,10 +74,13 @@ func TestCountersPromExposition(t *testing.T) {
 		}
 	}
 
-	// Every counter field must surface, including the seconds-valued
-	// warm-up total (renamed to carry _total like the rest).
+	// Every counter must surface, including the seconds-valued warm-up
+	// total (renamed to carry _total like the rest) and the derived values:
+	// the brownout family counts rising edges, not brownout events.
 	for _, want := range []string{
 		"flowsched_arrivals_total 1", "flowsched_handoffs_total 16",
+		"flowsched_lost_tasks_total 7", "flowsched_brownouts_total 12",
+		"flowsched_hedge_copy_wins_total 20",
 		"flowsched_hedges_total 18", "flowsched_hedge_cancels_total 21",
 		"flowsched_breaker_opens_total 22", "flowsched_breaker_closes_total 23",
 		"flowsched_breaker_probes_total 24", "flowsched_retry_budget_drops_total 25",

@@ -2,68 +2,25 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-
-	"flowsched/internal/core"
 )
-
-// FlightEvent is one raw engine event in the flight recorder's ring: the
-// flat union of every hook's payload, keyed by Ev (the JSONLSink record
-// kinds plus the overload and membership event streams). Fields that do not
-// apply to a kind carry -1 (ids/counts) or NaN (instants), so records
-// round-trip through JSON Lines unambiguously.
-type FlightEvent struct {
-	Ev       string        `json:"ev"`
-	T        core.NullTime `json:"t"`
-	Task     int           `json:"task"`
-	Server   int           `json:"server"`
-	Start    core.NullTime `json:"start"`
-	End      core.NullTime `json:"end"`
-	Release  core.NullTime `json:"release"`
-	Proc     core.NullTime `json:"proc"`
-	Ready    core.NullTime `json:"ready"`
-	Attempt  int           `json:"attempt"`
-	Lost     int           `json:"lost"`
-	Members  int           `json:"members"`
-	Handoffs int           `json:"handoffs"`
-	Reason   string        `json:"reason,omitempty"`
-	Active   bool          `json:"active,omitempty"`
-	From     int           `json:"from"`              // primary's server at hedge issue (-1 if parked)
-	Copy     bool          `json:"copy,omitempty"`    // hedge-win: the speculative copy won
-	Started  bool          `json:"started,omitempty"` // hedge-cancel: loser was mid-service
-}
-
-// nanT is the absent-instant sentinel of a FlightEvent.
-func nanT() core.NullTime { return core.NullTime(math.NaN()) }
-
-// blankEvent is a FlightEvent with every optional field at its absent
-// sentinel; hook recorders fill in what applies.
-func blankEvent(ev string, t core.Time) FlightEvent {
-	return FlightEvent{
-		Ev: ev, T: core.NullTime(t),
-		Task: -1, Server: -1, Attempt: -1, Lost: -1, Members: -1, Handoffs: -1, From: -1,
-		Start: nanT(), End: nanT(), Release: nanT(), Proc: nanT(), Ready: nanT(),
-	}
-}
 
 // DefaultFlightSize is the ring capacity a FlightRecorder gets when
 // constructed with size ≤ 0.
 const DefaultFlightSize = 4096
 
-// FlightRecorder is a Probe (plus OverloadObserver, MembershipObserver,
-// HedgeObserver and ResilienceObserver)
-// keeping the last N raw events of a run in a fixed-size ring — the
-// always-on crash recorder. When a soak trial fails or an audit violation
-// names a task, the ring holds the causal context without anyone having
-// planned to trace that run; internal/chaos dumps it next to the shrunk
-// repro and internal/audit attaches per-task evidence to its report.
+// FlightRecorder is a Probe keeping the last N events of a run in a
+// fixed-size ring — the always-on crash recorder. It stores each Event with
+// the fields its kind does not carry at their absent values (−1 / NaN).
+// When a soak trial fails or an audit violation names a task, the ring
+// holds the causal context without anyone having planned to trace that run;
+// internal/chaos dumps it next to the shrunk repro and internal/audit
+// attaches per-task evidence to its report.
 //
 // A FlightRecorder is not safe for concurrent use; attach one per run.
 type FlightRecorder struct {
-	buf   []FlightEvent
+	buf   []Event
 	total int // events ever appended; ring start is total - len(buf)
 }
 
@@ -73,10 +30,12 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultFlightSize
 	}
-	return &FlightRecorder{buf: make([]FlightEvent, 0, size)}
+	return &FlightRecorder{buf: make([]Event, 0, size)}
 }
 
-func (r *FlightRecorder) append(ev FlightEvent) {
+// OnEvent implements Probe.
+func (r *FlightRecorder) OnEvent(ev Event) {
+	ev = ev.fill()
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
 	} else {
@@ -98,8 +57,8 @@ func (r *FlightRecorder) Reset() {
 }
 
 // Events returns the held events oldest-first (a copy).
-func (r *FlightRecorder) Events() []FlightEvent {
-	out := make([]FlightEvent, len(r.buf))
+func (r *FlightRecorder) Events() []Event {
+	out := make([]Event, len(r.buf))
 	if len(r.buf) < cap(r.buf) {
 		copy(out, r.buf)
 		return out
@@ -111,8 +70,8 @@ func (r *FlightRecorder) Events() []FlightEvent {
 }
 
 // TaskEvents returns the held events naming the task, oldest-first.
-func (r *FlightRecorder) TaskEvents(task int) []FlightEvent {
-	var out []FlightEvent
+func (r *FlightRecorder) TaskEvents(task int) []Event {
+	var out []Event
 	for _, ev := range r.Events() {
 		if ev.Task == task {
 			out = append(out, ev)
@@ -122,219 +81,32 @@ func (r *FlightRecorder) TaskEvents(task int) []FlightEvent {
 }
 
 // WriteJSONL writes the held events oldest-first, one JSON object per line
-// — the flight-recorder dump format read back by ReadFlightEvents.
+// with only the fields each kind carries — the flight-recorder dump format
+// read back by ReadFlightEvents.
 func (r *FlightRecorder) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	enc := json.NewEncoder(bw)
-	for _, ev := range r.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return fmt.Errorf("obs: writing flight events: %w", err)
-		}
-	}
-	return bw.Flush()
+	return WriteFlightEvents(w, r.Events())
 }
 
 // WriteFlightEvents writes an event slice in the WriteJSONL dump format.
-func WriteFlightEvents(w io.Writer, events []FlightEvent) error {
+func WriteFlightEvents(w io.Writer, events []Event) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
+		line = append(ev.appendJSON(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("obs: writing flight events: %w", err)
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadFlightEvents reads a WriteJSONL dump back, absent instants decoding
-// to NaN.
-func ReadFlightEvents(rd io.Reader) ([]FlightEvent, error) {
-	var out []FlightEvent
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		ev := blankEvent("", core.Time(math.NaN()))
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return nil, fmt.Errorf("obs: flight events line %d: %w", line, err)
-		}
-		if ev.Ev == "" {
-			return nil, fmt.Errorf("obs: flight events line %d: missing event kind", line)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading flight events: %w", err)
+// ReadFlightEvents reads a WriteJSONL dump back. Fields a line omits decode
+// to their absent values, and an unknown or missing kind is an error.
+func ReadFlightEvents(rd io.Reader) ([]Event, error) {
+	var out []Event
+	err := readEvents(rd, func(ev Event) { out = append(out, ev) })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// OnArrival implements Probe.
-func (r *FlightRecorder) OnArrival(task int, release core.Time) {
-	ev := blankEvent("arrival", release)
-	ev.Task = task
-	r.append(ev)
-}
-
-// OnDispatch implements Probe.
-func (r *FlightRecorder) OnDispatch(task, server int, at, start, end core.Time) {
-	ev := blankEvent("dispatch", at)
-	ev.Task, ev.Server = task, server
-	ev.Start, ev.End = core.NullTime(start), core.NullTime(end)
-	r.append(ev)
-}
-
-// OnComplete implements Probe.
-func (r *FlightRecorder) OnComplete(task, server int, release, proc, end core.Time) {
-	ev := blankEvent("complete", end)
-	ev.Task, ev.Server = task, server
-	ev.Release, ev.Proc = core.NullTime(release), core.NullTime(proc)
-	r.append(ev)
-}
-
-// OnDrop implements Probe.
-func (r *FlightRecorder) OnDrop(task int, release, at core.Time) {
-	ev := blankEvent("drop", at)
-	ev.Task = task
-	ev.Release = core.NullTime(release)
-	r.append(ev)
-}
-
-// OnRetry implements Probe.
-func (r *FlightRecorder) OnRetry(task, attempt int, at core.Time) {
-	ev := blankEvent("retry", at)
-	ev.Task, ev.Attempt = task, attempt
-	r.append(ev)
-}
-
-// OnFailover implements Probe.
-func (r *FlightRecorder) OnFailover(server int, at core.Time, lost int) {
-	ev := blankEvent("failover", at)
-	ev.Server, ev.Lost = server, lost
-	r.append(ev)
-}
-
-// OnDone implements Probe.
-func (r *FlightRecorder) OnDone(makespan core.Time) {
-	r.append(blankEvent("done", makespan))
-}
-
-// OnReject implements OverloadObserver.
-func (r *FlightRecorder) OnReject(task int, at core.Time, reason string) {
-	ev := blankEvent("reject", at)
-	ev.Task, ev.Reason = task, reason
-	r.append(ev)
-}
-
-// OnShed implements OverloadObserver.
-func (r *FlightRecorder) OnShed(task, server int, release, at core.Time, reason string) {
-	ev := blankEvent("shed", at)
-	ev.Task, ev.Server, ev.Reason = task, server, reason
-	ev.Release = core.NullTime(release)
-	r.append(ev)
-}
-
-// OnEject implements OverloadObserver.
-func (r *FlightRecorder) OnEject(server int, at core.Time) {
-	ev := blankEvent("eject", at)
-	ev.Server = server
-	r.append(ev)
-}
-
-// OnReadmit implements OverloadObserver.
-func (r *FlightRecorder) OnReadmit(server int, at core.Time) {
-	ev := blankEvent("readmit", at)
-	ev.Server = server
-	r.append(ev)
-}
-
-// OnBrownout implements OverloadObserver.
-func (r *FlightRecorder) OnBrownout(at core.Time, active bool) {
-	ev := blankEvent("brownout", at)
-	ev.Active = active
-	r.append(ev)
-}
-
-// OnScaleUp implements MembershipObserver.
-func (r *FlightRecorder) OnScaleUp(machine int, at, ready core.Time) {
-	ev := blankEvent("scale-up", at)
-	ev.Server = machine
-	ev.Ready = core.NullTime(ready)
-	r.append(ev)
-}
-
-// OnJoin implements MembershipObserver.
-func (r *FlightRecorder) OnJoin(machine int, at core.Time, members int) {
-	ev := blankEvent("join", at)
-	ev.Server, ev.Members = machine, members
-	r.append(ev)
-}
-
-// OnScaleDown implements MembershipObserver.
-func (r *FlightRecorder) OnScaleDown(machine int, at core.Time, members, handoffs int) {
-	ev := blankEvent("scale-down", at)
-	ev.Server, ev.Members, ev.Handoffs = machine, members, handoffs
-	r.append(ev)
-}
-
-// OnHandoff implements MembershipObserver.
-func (r *FlightRecorder) OnHandoff(task, from int, at core.Time) {
-	ev := blankEvent("handoff", at)
-	ev.Task, ev.Server = task, from
-	r.append(ev)
-}
-
-// OnHedge implements HedgeObserver.
-func (r *FlightRecorder) OnHedge(task, from, to int, at, start, end core.Time) {
-	ev := blankEvent("hedge", at)
-	ev.Task, ev.Server, ev.From = task, to, from
-	ev.Start, ev.End = core.NullTime(start), core.NullTime(end)
-	r.append(ev)
-}
-
-// OnHedgeWin implements HedgeObserver.
-func (r *FlightRecorder) OnHedgeWin(task, server int, byCopy bool, at core.Time) {
-	ev := blankEvent("hedge-win", at)
-	ev.Task, ev.Server, ev.Copy = task, server, byCopy
-	r.append(ev)
-}
-
-// OnHedgeCancel implements HedgeObserver.
-func (r *FlightRecorder) OnHedgeCancel(task, server int, at core.Time, started bool) {
-	ev := blankEvent("hedge-cancel", at)
-	ev.Task, ev.Server, ev.Started = task, server, started
-	r.append(ev)
-}
-
-// OnBreakerOpen implements ResilienceObserver.
-func (r *FlightRecorder) OnBreakerOpen(server int, at core.Time) {
-	ev := blankEvent("breaker-open", at)
-	ev.Server = server
-	r.append(ev)
-}
-
-// OnBreakerProbe implements ResilienceObserver.
-func (r *FlightRecorder) OnBreakerProbe(server, task int, at core.Time) {
-	ev := blankEvent("breaker-probe", at)
-	ev.Task, ev.Server = task, server
-	r.append(ev)
-}
-
-// OnBreakerClose implements ResilienceObserver.
-func (r *FlightRecorder) OnBreakerClose(server int, at core.Time) {
-	ev := blankEvent("breaker-close", at)
-	ev.Server = server
-	r.append(ev)
-}
-
-// OnRetryBudgetDrop implements ResilienceObserver.
-func (r *FlightRecorder) OnRetryBudgetDrop(task, attempts int, at core.Time) {
-	ev := blankEvent("retry-budget-drop", at)
-	ev.Task, ev.Attempt = task, attempts
-	r.append(ev)
 }

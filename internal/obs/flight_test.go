@@ -6,33 +6,33 @@ import (
 	"testing"
 )
 
-// drive pushes one event of every kind through the recorder (19 hooks).
+// drive pushes one event of 19 kinds through the recorder.
 func drive(r *FlightRecorder) {
-	r.OnArrival(0, 1)
-	r.OnDispatch(0, 2, 1, 3, 5)
-	r.OnComplete(0, 2, 1, 2, 5)
-	r.OnDrop(1, 0, 6)
-	r.OnRetry(2, 1, 7)
-	r.OnFailover(3, 8, 2)
-	r.OnReject(4, 9, "queue-bound")
-	r.OnShed(5, 1, 2, 10, "watermark")
-	r.OnEject(2, 11)
-	r.OnReadmit(2, 12)
-	r.OnBrownout(13, true)
-	r.OnScaleUp(6, 14, 15)
-	r.OnJoin(6, 15, 4)
-	r.OnScaleDown(1, 16, 3, 2)
-	r.OnHandoff(7, 1, 16)
-	r.OnHedge(8, 0, 3, 16.5, 17, 19)
-	r.OnHedgeWin(8, 3, true, 16.75)
-	r.OnHedgeCancel(8, 0, 16.75, true)
-	r.OnDone(17)
+	r.OnEvent(Event{Kind: Arrival, T: 1, Task: 0})
+	r.OnEvent(Event{Kind: Dispatch, T: 1, Task: 0, Server: 2, Start: 3, End: 5})
+	r.OnEvent(Event{Kind: Complete, T: 5, Task: 0, Server: 2, Release: 1, Proc: 2})
+	r.OnEvent(Event{Kind: Drop, T: 6, Task: 1, Release: 0})
+	r.OnEvent(Event{Kind: Retry, T: 7, Task: 2, Attempt: 1})
+	r.OnEvent(Event{Kind: Failover, T: 8, Server: 3, Lost: 2})
+	r.OnEvent(Event{Kind: Reject, T: 9, Task: 4, Reason: "queue-bound"})
+	r.OnEvent(Event{Kind: Shed, T: 10, Task: 5, Server: 1, Release: 2, Reason: "watermark"})
+	r.OnEvent(Event{Kind: Eject, T: 11, Server: 2})
+	r.OnEvent(Event{Kind: Readmit, T: 12, Server: 2})
+	r.OnEvent(Event{Kind: Brownout, T: 13, Active: true})
+	r.OnEvent(Event{Kind: ScaleUp, T: 14, Server: 6, Ready: 15})
+	r.OnEvent(Event{Kind: Join, T: 15, Server: 6, Members: 4})
+	r.OnEvent(Event{Kind: ScaleDown, T: 16, Server: 1, Members: 3, Handoffs: 2})
+	r.OnEvent(Event{Kind: Handoff, T: 16, Task: 7, Server: 1})
+	r.OnEvent(Event{Kind: Hedge, T: 16.5, Task: 8, Server: 3, Start: 17, End: 19, From: 0})
+	r.OnEvent(Event{Kind: HedgeWin, T: 16.75, Task: 8, Server: 3, Copy: true})
+	r.OnEvent(Event{Kind: HedgeCancel, T: 16.75, Task: 8, Server: 0, Started: true})
+	r.OnEvent(Event{Kind: Done, T: 17})
 }
 
 func TestFlightRecorderRingWrap(t *testing.T) {
 	r := NewFlightRecorder(8)
 	for i := 0; i < 20; i++ {
-		r.OnArrival(i, float64(i))
+		r.OnEvent(Event{Kind: Arrival, T: float64(i), Task: i})
 	}
 	if r.Len() != 8 || r.Dropped() != 12 {
 		t.Fatalf("Len=%d Dropped=%d, want 8/12", r.Len(), r.Dropped())
@@ -56,7 +56,7 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 func TestFlightRecorderDefaultSize(t *testing.T) {
 	r := NewFlightRecorder(0)
 	for i := 0; i < DefaultFlightSize+5; i++ {
-		r.OnArrival(i, 0)
+		r.OnEvent(Event{Kind: Arrival, T: 0, Task: i})
 	}
 	if r.Len() != DefaultFlightSize || r.Dropped() != 5 {
 		t.Fatalf("Len=%d Dropped=%d", r.Len(), r.Dropped())
@@ -69,13 +69,13 @@ func TestFlightRecorderAllKindsRoundTrip(t *testing.T) {
 	if r.Len() != 19 {
 		t.Fatalf("recorded %d events, want 19", r.Len())
 	}
-	kinds := []string{"arrival", "dispatch", "complete", "drop", "retry", "failover",
+	want := []string{"arrival", "dispatch", "complete", "drop", "retry", "failover",
 		"reject", "shed", "eject", "readmit", "brownout",
 		"scale-up", "join", "scale-down", "handoff",
 		"hedge", "hedge-win", "hedge-cancel", "done"}
 	for i, ev := range r.Events() {
-		if ev.Ev != kinds[i] {
-			t.Fatalf("events[%d].Ev = %q, want %q", i, ev.Ev, kinds[i])
+		if ev.Kind.String() != want[i] {
+			t.Fatalf("events[%d].Kind.String() = %q, want %q", i, ev.Kind.String(), want[i])
 		}
 	}
 
@@ -105,17 +105,17 @@ func TestFlightRecorderTaskEvents(t *testing.T) {
 	r := NewFlightRecorder(64)
 	drive(r)
 	evs := r.TaskEvents(0)
-	if len(evs) != 3 || evs[0].Ev != "arrival" || evs[1].Ev != "dispatch" || evs[2].Ev != "complete" {
+	if len(evs) != 3 || evs[0].Kind.String() != "arrival" || evs[1].Kind.String() != "dispatch" || evs[2].Kind.String() != "complete" {
 		t.Fatalf("task 0 events = %+v", evs)
 	}
 	// Server-only events (eject, failover) name no task and must not bleed
 	// into any task's history.
 	for _, ev := range r.TaskEvents(3) {
-		if ev.Ev == "failover" {
+		if ev.Kind.String() == "failover" {
 			t.Fatalf("failover (server event) attributed to task 3: %+v", ev)
 		}
 	}
-	if got := r.TaskEvents(7); len(got) != 1 || got[0].Ev != "handoff" {
+	if got := r.TaskEvents(7); len(got) != 1 || got[0].Kind.String() != "handoff" {
 		t.Fatalf("task 7 events = %+v", got)
 	}
 }

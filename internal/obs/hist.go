@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"flowsched/internal/core"
 )
 
 // DefaultGrowth is the default per-bucket growth factor of a Histogram:
@@ -304,7 +302,6 @@ func (h *Histogram) WriteProm(w io.Writer, name string) error {
 // HistogramProbe streams completed requests' flow times and stretches into
 // two histograms.
 type HistogramProbe struct {
-	BaseProbe
 	Flow    *Histogram // flow time C_i − r_i
 	Stretch *Histogram // stretch (C_i − r_i) / p_i
 }
@@ -314,15 +311,18 @@ func NewHistogramProbe() *HistogramProbe {
 	return &HistogramProbe{Flow: NewHistogram(), Stretch: NewHistogram()}
 }
 
-// OnComplete implements Probe. Observations carry the task id as the
-// bucket exemplar, so the tail quantiles always name a concrete task whose
-// trace explains them.
-func (p *HistogramProbe) OnComplete(task, server int, release, proc, end core.Time) {
-	flow := end - release
-	p.Flow.ObserveExemplar(flow, task)
-	if proc > 0 {
-		p.Stretch.ObserveExemplar(flow/proc, task)
+// OnEvent implements Probe: each completion is observed with its task id
+// as the bucket exemplar, so the tail quantiles always name a concrete task
+// whose trace explains them.
+func (p *HistogramProbe) OnEvent(ev Event) {
+	if ev.Kind != Complete {
+		return
+	}
+	flow := ev.T - ev.Release
+	p.Flow.ObserveExemplar(flow, ev.Task)
+	if ev.Proc > 0 {
+		p.Stretch.ObserveExemplar(flow/ev.Proc, ev.Task)
 	} else {
-		p.Stretch.ObserveExemplar(0, task) // mirrors sim.stretchOf: zero-proc stretch is 0
+		p.Stretch.ObserveExemplar(0, ev.Task) // mirrors sim.stretchOf: zero-proc stretch is 0
 	}
 }

@@ -129,8 +129,8 @@ func TestHistogramWriteProm(t *testing.T) {
 
 func TestHistogramProbeStretch(t *testing.T) {
 	p := NewHistogramProbe()
-	p.OnComplete(0, 0, 1, 2, 5) // flow 4, stretch 2
-	p.OnComplete(1, 1, 0, 0, 3) // zero-proc: flow 3, stretch 0
+	p.OnEvent(Event{Kind: Complete, T: 5, Task: 0, Server: 0, Release: 1, Proc: 2}) // flow 4, stretch 2
+	p.OnEvent(Event{Kind: Complete, T: 3, Task: 1, Server: 1, Release: 0, Proc: 0}) // zero-proc: flow 3, stretch 0
 	if p.Flow.Count() != 2 || p.Stretch.Count() != 2 {
 		t.Fatalf("counts %d/%d", p.Flow.Count(), p.Stretch.Count())
 	}

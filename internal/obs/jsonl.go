@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 
@@ -13,7 +11,8 @@ import (
 
 // JSONLSink is a Probe that writes one JSON object per event, newline
 // delimited, through a buffered writer — the structured event log for
-// offline analysis. Schema (one record kind per line, keyed by "ev"):
+// offline analysis. Every kind gets one line keyed by "ev", with "t" and
+// then the fields the kind carries (see Kind), in this order:
 //
 //	{"ev":"arrival","t":<release>,"task":<id>}
 //	{"ev":"dispatch","t":<at>,"task":<id>,"server":<j>,"start":<s>,"end":<e>}
@@ -22,6 +21,22 @@ import (
 //	{"ev":"drop","t":<at>,"task":<id>,"release":<r>}
 //	{"ev":"failover","t":<at>,"server":<j>,"lost":<n>}
 //	{"ev":"done","t":<makespan>}
+//	{"ev":"reject","t":<at>,"task":<id>,"reason":<s>}
+//	{"ev":"shed","t":<at>,"task":<id>,"server":<j>,"release":<r>,"reason":<s>}
+//	{"ev":"eject","t":<at>,"server":<j>}
+//	{"ev":"readmit","t":<at>,"server":<j>}
+//	{"ev":"brownout","t":<at>,"active":<b>}
+//	{"ev":"scale-up","t":<at>,"server":<j>,"ready":<r>}
+//	{"ev":"join","t":<at>,"server":<j>,"members":<n>}
+//	{"ev":"scale-down","t":<at>,"server":<j>,"members":<n>,"handoffs":<h>}
+//	{"ev":"handoff","t":<at>,"task":<id>,"server":<from>}
+//	{"ev":"hedge","t":<at>,"task":<id>,"server":<to>,"start":<s>,"end":<e>,"from":<j>}
+//	{"ev":"hedge-win","t":<at>,"task":<id>,"server":<j>,"copy":<b>}
+//	{"ev":"hedge-cancel","t":<at>,"task":<id>,"server":<j>,"started":<b>}
+//	{"ev":"breaker-open","t":<at>,"server":<j>}
+//	{"ev":"breaker-close","t":<at>,"server":<j>}
+//	{"ev":"breaker-probe","t":<at>,"task":<id>,"server":<j>}
+//	{"ev":"retry-budget-drop","t":<at>,"task":<id>,"attempt":<a>}
 //
 // Times are written with Go's shortest round-trip float encoding, so a
 // replay through ReplayTrace reproduces the exact instants; non-finite
@@ -30,16 +45,15 @@ import (
 // sticky: the first write error is retained and reported by Flush/Err, and
 // subsequent events are dropped.
 type JSONLSink struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-	err error
+	w    *bufio.Writer
+	line []byte
+	err  error
 }
 
 // NewJSONLSink returns a sink writing to w. Call Flush (or check Err) when
 // the run is done; the sink buffers aggressively.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	return &JSONLSink{w: bw, enc: json.NewEncoder(bw)}
+	return &JSONLSink{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
 // Err returns the first write error, if any.
@@ -54,97 +68,16 @@ func (s *JSONLSink) Flush() error {
 	return s.err
 }
 
-func (s *JSONLSink) emit(rec interface{}) {
+// OnEvent implements Probe. The done event also flushes the buffer.
+func (s *JSONLSink) OnEvent(ev Event) {
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(rec)
-}
-
-// OnArrival implements Probe.
-func (s *JSONLSink) OnArrival(task int, release core.Time) {
-	s.emit(struct {
-		Ev   string        `json:"ev"`
-		T    core.NullTime `json:"t"`
-		Task int           `json:"task"`
-	}{"arrival", core.NullTime(release), task})
-}
-
-// OnDispatch implements Probe.
-func (s *JSONLSink) OnDispatch(task, server int, at, start, end core.Time) {
-	s.emit(struct {
-		Ev     string        `json:"ev"`
-		T      core.NullTime `json:"t"`
-		Task   int           `json:"task"`
-		Server int           `json:"server"`
-		Start  core.NullTime `json:"start"`
-		End    core.NullTime `json:"end"`
-	}{"dispatch", core.NullTime(at), task, server, core.NullTime(start), core.NullTime(end)})
-}
-
-// OnComplete implements Probe.
-func (s *JSONLSink) OnComplete(task, server int, release, proc, end core.Time) {
-	s.emit(struct {
-		Ev      string        `json:"ev"`
-		T       core.NullTime `json:"t"`
-		Task    int           `json:"task"`
-		Server  int           `json:"server"`
-		Release core.NullTime `json:"release"`
-		Proc    core.NullTime `json:"proc"`
-	}{"complete", core.NullTime(end), task, server, core.NullTime(release), core.NullTime(proc)})
-}
-
-// OnDrop implements Probe.
-func (s *JSONLSink) OnDrop(task int, release, at core.Time) {
-	s.emit(struct {
-		Ev      string        `json:"ev"`
-		T       core.NullTime `json:"t"`
-		Task    int           `json:"task"`
-		Release core.NullTime `json:"release"`
-	}{"drop", core.NullTime(at), task, core.NullTime(release)})
-}
-
-// OnRetry implements Probe.
-func (s *JSONLSink) OnRetry(task, attempt int, at core.Time) {
-	s.emit(struct {
-		Ev      string        `json:"ev"`
-		T       core.NullTime `json:"t"`
-		Task    int           `json:"task"`
-		Attempt int           `json:"attempt"`
-	}{"retry", core.NullTime(at), task, attempt})
-}
-
-// OnFailover implements Probe.
-func (s *JSONLSink) OnFailover(server int, at core.Time, lost int) {
-	s.emit(struct {
-		Ev     string        `json:"ev"`
-		T      core.NullTime `json:"t"`
-		Server int           `json:"server"`
-		Lost   int           `json:"lost"`
-	}{"failover", core.NullTime(at), server, lost})
-}
-
-// OnDone implements Probe: it writes the trailer record and flushes.
-func (s *JSONLSink) OnDone(makespan core.Time) {
-	s.emit(struct {
-		Ev string        `json:"ev"`
-		T  core.NullTime `json:"t"`
-	}{"done", core.NullTime(makespan)})
-	s.Flush()
-}
-
-// jsonlRecord is the union read-side schema of a sink line.
-type jsonlRecord struct {
-	Ev      string        `json:"ev"`
-	T       core.NullTime `json:"t"`
-	Task    int           `json:"task"`
-	Server  int           `json:"server"`
-	Start   core.NullTime `json:"start"`
-	End     core.NullTime `json:"end"`
-	Release core.NullTime `json:"release"`
-	Proc    core.NullTime `json:"proc"`
-	Attempt int           `json:"attempt"`
-	Lost    int           `json:"lost"`
+	s.line = append(ev.appendJSON(s.line[:0]), '\n')
+	_, s.err = s.w.Write(s.line)
+	if ev.Kind == Done {
+		s.Flush()
+	}
 }
 
 // ReplayTrace reads a JSONL event stream and reconstructs the trace of the
@@ -152,11 +85,16 @@ type jsonlRecord struct {
 // exactly like trace.FromSchedule (time, then completion < arrival < start,
 // then task ID). For a fault-free run the result is identical to
 // trace.FromSchedule on the run's schedule (property-tested in
-// internal/sim); under faults the last dispatch attempt provides the start
-// and dropped tasks (no completion) are omitted.
+// internal/sim); under faults and overload control the last dispatch
+// attempt provides the start, and dropped, rejected and shed tasks (no
+// completion) are omitted. A completion that moved off its dispatch
+// forecast — its queue was re-timed behind a watermark shed — starts at
+// end − proc. Every kind in the table is accepted; an unknown kind is an
+// error.
 func ReplayTrace(r io.Reader) ([]trace.Event, error) {
 	type slot struct {
 		arrival, start, end    core.Time
+		forecast               core.Time // the last dispatch's end
 		server                 int
 		hasArr, hasDis, hasCmp bool
 	}
@@ -169,37 +107,24 @@ func ReplayTrace(r io.Reader) ([]trace.Event, error) {
 		}
 		return s
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	err := readEvents(r, func(ev Event) {
+		switch ev.Kind {
+		case Arrival:
+			s := at(ev.Task)
+			s.arrival, s.hasArr = ev.T, true
+		case Dispatch:
+			s := at(ev.Task)
+			s.start, s.forecast, s.server, s.hasDis = ev.Start, ev.End, ev.Server, true
+		case Complete:
+			s := at(ev.Task)
+			s.end, s.server, s.hasCmp = ev.T, ev.Server, true
+			if ev.T != s.forecast {
+				s.start = ev.T - ev.Proc
+			}
 		}
-		var rec jsonlRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("obs: events line %d: %w", line, err)
-		}
-		switch rec.Ev {
-		case "arrival":
-			s := at(rec.Task)
-			s.arrival, s.hasArr = core.Time(rec.T), true
-		case "dispatch":
-			s := at(rec.Task)
-			s.start, s.server, s.hasDis = core.Time(rec.Start), rec.Server, true
-		case "complete":
-			s := at(rec.Task)
-			s.end, s.server, s.hasCmp = core.Time(rec.T), rec.Server, true
-		case "retry", "drop", "failover", "done":
-			// Not part of the schedule trace.
-		default:
-			return nil, fmt.Errorf("obs: events line %d: unknown event kind %q", line, rec.Ev)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading events: %w", err)
+	})
+	if err != nil {
+		return nil, err
 	}
 	var events []trace.Event
 	for task, s := range slots {

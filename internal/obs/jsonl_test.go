@@ -11,18 +11,18 @@ import (
 	"flowsched/internal/trace"
 )
 
-// TestJSONLSinkSchema: each hook writes one line keyed by "ev" with the
+// TestJSONLSinkSchema: each base kind writes one line keyed by "ev" with the
 // documented fields.
 func TestJSONLSinkSchema(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONLSink(&buf)
-	s.OnArrival(3, 1.5)
-	s.OnDispatch(3, 2, 1.5, 1.5, 4.5)
-	s.OnComplete(3, 2, 1.5, 3, 4.5)
-	s.OnRetry(3, 1, 5)
-	s.OnDrop(3, 1.5, 6)
-	s.OnFailover(2, 5, 4)
-	s.OnDone(7.25)
+	s.OnEvent(Event{Kind: Arrival, T: 1.5, Task: 3})
+	s.OnEvent(Event{Kind: Dispatch, T: 1.5, Task: 3, Server: 2, Start: 1.5, End: 4.5})
+	s.OnEvent(Event{Kind: Complete, T: 4.5, Task: 3, Server: 2, Release: 1.5, Proc: 3})
+	s.OnEvent(Event{Kind: Retry, T: 5, Task: 3, Attempt: 1})
+	s.OnEvent(Event{Kind: Drop, T: 6, Task: 3, Release: 1.5})
+	s.OnEvent(Event{Kind: Failover, T: 5, Server: 2, Lost: 4})
+	s.OnEvent(Event{Kind: Done, T: 7.25})
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +49,9 @@ func TestJSONLSinkSchema(t *testing.T) {
 func TestJSONLSinkStickyError(t *testing.T) {
 	s := NewJSONLSink(failWriter{})
 	for i := 0; i < 20000; i++ { // exceed the buffer so a flush is forced
-		s.OnArrival(i, 0)
+		s.OnEvent(Event{Kind: Arrival, T: 0, Task: i})
 	}
-	s.OnDone(1)
+	s.OnEvent(Event{Kind: Done, T: 1})
 	if s.Err() == nil {
 		t.Fatal("write error not surfaced")
 	}
@@ -126,12 +126,12 @@ func TestJSONLSinkNonFiniteInstants(t *testing.T) {
 	nan := core.Time(math.NaN())
 	var buf bytes.Buffer
 	s := NewJSONLSink(&buf)
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 1, 0, 0, 2)
-	s.OnComplete(0, 1, 0, 2, 2)
-	s.OnArrival(1, 1)
-	s.OnDrop(1, 1, nan) // dropped with no final instant
-	s.OnDone(nan)       // e.g. a run with no completed work
+	s.OnEvent(Event{Kind: Arrival, T: 0, Task: 0})
+	s.OnEvent(Event{Kind: Dispatch, T: 0, Task: 0, Server: 1, Start: 0, End: 2})
+	s.OnEvent(Event{Kind: Complete, T: 2, Task: 0, Server: 1, Release: 0, Proc: 2})
+	s.OnEvent(Event{Kind: Arrival, T: 1, Task: 1})
+	s.OnEvent(Event{Kind: Drop, T: nan, Task: 1, Release: 1}) // dropped with no final instant
+	s.OnEvent(Event{Kind: Done, T: nan})                      // e.g. a run with no completed work
 	if err := s.Flush(); err != nil {
 		t.Fatalf("non-finite instants poisoned the sink: %v", err)
 	}

@@ -3,17 +3,12 @@ package obs
 import (
 	"strings"
 	"testing"
-
-	"flowsched/internal/core"
 )
 
-type countingProbe struct {
-	BaseProbe
-	events []string
-}
+// recProbe records the names of the kinds it sees.
+type recProbe struct{ events []string }
 
-func (p *countingProbe) OnArrival(task int, release core.Time) { p.events = append(p.events, "arr") }
-func (p *countingProbe) OnDone(makespan core.Time)             { p.events = append(p.events, "done") }
+func (p *recProbe) OnEvent(ev Event) { p.events = append(p.events, ev.Kind.String()) }
 
 func TestMulti(t *testing.T) {
 	if Multi() != nil {
@@ -22,21 +17,22 @@ func TestMulti(t *testing.T) {
 	if Multi(nil, nil) != nil {
 		t.Error("Multi(nil, nil) != nil")
 	}
-	single := &countingProbe{}
+	single := &recProbe{}
 	if Multi(nil, single) != Probe(single) {
 		t.Error("Multi with one live probe should return it unwrapped")
 	}
-	a, b := &countingProbe{}, &countingProbe{}
+	a, b := &recProbe{}, &recProbe{}
 	m := Multi(a, nil, b)
-	m.OnArrival(0, 0)
-	m.OnDispatch(0, 0, 0, 0, 1)
-	m.OnComplete(0, 0, 0, 1, 1)
-	m.OnDrop(1, 0, 1)
-	m.OnRetry(2, 1, 1)
-	m.OnFailover(0, 1, 3)
-	m.OnDone(1)
-	for _, p := range []*countingProbe{a, b} {
-		if len(p.events) != 2 || p.events[0] != "arr" || p.events[1] != "done" {
+	m.OnEvent(Event{Kind: Arrival, T: 0, Task: 0})
+	m.OnEvent(Event{Kind: Dispatch, T: 0, Task: 0, Server: 0, Start: 0, End: 1})
+	m.OnEvent(Event{Kind: Complete, T: 1, Task: 0, Server: 0, Release: 0, Proc: 1})
+	m.OnEvent(Event{Kind: Drop, T: 1, Task: 1, Release: 0})
+	m.OnEvent(Event{Kind: Retry, T: 1, Task: 2, Attempt: 1})
+	m.OnEvent(Event{Kind: Failover, T: 1, Server: 0, Lost: 3})
+	m.OnEvent(Event{Kind: Done, T: 1})
+	want := []string{"arrival", "dispatch", "complete", "drop", "retry", "failover", "done"}
+	for _, p := range []*recProbe{a, b} {
+		if !eqStrings(p.events, want) {
 			t.Errorf("fan-out events = %v", p.events)
 		}
 	}
@@ -44,17 +40,17 @@ func TestMulti(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	var c Counters
-	c.OnArrival(0, 0)
-	c.OnArrival(1, 1)
-	c.OnDispatch(0, 0, 0, 0, 1)
-	c.OnDispatch(1, 1, 1, 1, 2)
-	c.OnDispatch(1, 0, 3, 3, 4) // failover re-dispatch
-	c.OnComplete(0, 0, 0, 1, 1)
-	c.OnFailover(1, 2, 1)
-	c.OnRetry(1, 1, 2)
-	c.OnComplete(1, 0, 1, 1, 4)
-	if c.Arrivals != 2 || c.Dispatches != 3 || c.Completions != 2 ||
-		c.Retries != 1 || c.Failovers != 1 || c.Lost != 1 || c.Drops != 0 {
+	c.OnEvent(Event{Kind: Arrival, T: 0, Task: 0})
+	c.OnEvent(Event{Kind: Arrival, T: 1, Task: 1})
+	c.OnEvent(Event{Kind: Dispatch, T: 0, Task: 0, Server: 0, Start: 0, End: 1})
+	c.OnEvent(Event{Kind: Dispatch, T: 1, Task: 1, Server: 1, Start: 1, End: 2})
+	c.OnEvent(Event{Kind: Dispatch, T: 3, Task: 1, Server: 0, Start: 3, End: 4}) // failover re-dispatch
+	c.OnEvent(Event{Kind: Complete, T: 1, Task: 0, Server: 0, Release: 0, Proc: 1})
+	c.OnEvent(Event{Kind: Failover, T: 2, Server: 1, Lost: 1})
+	c.OnEvent(Event{Kind: Retry, T: 2, Task: 1, Attempt: 1})
+	c.OnEvent(Event{Kind: Complete, T: 4, Task: 1, Server: 0, Release: 1, Proc: 1})
+	if c.Count(Arrival) != 2 || c.Count(Dispatch) != 3 || c.Count(Complete) != 2 ||
+		c.Count(Retry) != 1 || c.Count(Failover) != 1 || c.Lost != 1 || c.Count(Drop) != 0 {
 		t.Fatalf("counters = %+v", c)
 	}
 	var b strings.Builder

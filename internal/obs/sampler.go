@@ -83,13 +83,13 @@ func NewSampler(m int, dt core.Time) (*Sampler, error) {
 
 // SetMembers primes the membership gauge for an elastic run that starts with
 // fewer than m active machines (the simulator only reports *changes* through
-// MembershipObserver). Call it before the run; the default is m.
+// join and scale-down events). Call it before the run; the default is m.
 func (s *Sampler) SetMembers(n int) { s.members = n }
 
 // Interval returns the sampling interval dt.
 func (s *Sampler) Interval() core.Time { return s.dt }
 
-// Samples returns the recorded time series (valid after OnDone).
+// Samples returns the recorded time series (valid after the done event).
 func (s *Sampler) Samples() []Sample { return s.samples }
 
 // PeakBacklog returns the largest sampled backlog and the sample instant it
@@ -187,78 +187,51 @@ func (s *Sampler) markFinished(task int) {
 	}
 }
 
-// OnArrival implements Probe.
-func (s *Sampler) OnArrival(task int, release core.Time) {
-	s.advance(release)
-	s.posOf[task] = len(s.arrived)
-	s.arrived = append(s.arrived, task)
-	s.releases = append(s.releases, release)
-	s.finished = append(s.finished, false)
-	s.inFlight++
-	s.backlog++
-}
-
-// OnDispatch implements Probe.
-func (s *Sampler) OnDispatch(task, server int, at, start, end core.Time) {
-	s.advance(at)
-	if server >= 0 && server < s.m {
-		s.queue[server]++
-	}
-}
-
-// OnComplete implements Probe.
-func (s *Sampler) OnComplete(task, server int, release, proc, end core.Time) {
-	// The fault-free simulator reports completions at dispatch with a
-	// future end; buffer and apply in time order.
-	s.pending.Push(end, sampDone{task: task, server: server})
-}
-
-// OnDrop implements Probe.
-func (s *Sampler) OnDrop(task int, release, at core.Time) {
-	s.advance(at)
-	s.markFinished(task)
-}
-
-// OnRetry implements Probe.
-func (s *Sampler) OnRetry(task, attempt int, at core.Time) { s.advance(at) }
-
-// OnFailover implements Probe: a crashing server loses its whole queue.
-func (s *Sampler) OnFailover(server int, at core.Time, lost int) {
-	s.advance(at)
-	if server >= 0 && server < s.m {
-		s.queue[server] = 0
-	}
-}
-
-// OnScaleUp implements MembershipObserver (membership only changes at the
-// join, warm-up later).
-func (s *Sampler) OnScaleUp(machine int, at, ready core.Time) { s.advance(at) }
-
-// OnJoin implements MembershipObserver.
-func (s *Sampler) OnJoin(machine int, at core.Time, members int) {
-	s.advance(at)
-	s.members = members
-}
-
-// OnScaleDown implements MembershipObserver.
-func (s *Sampler) OnScaleDown(machine int, at core.Time, members, handoffs int) {
-	s.advance(at)
-	s.members = members
-}
-
-// OnHandoff implements MembershipObserver.
-func (s *Sampler) OnHandoff(task, from int, at core.Time) { s.advance(at) }
-
-// OnDone implements Probe: it flushes pending completions and emits every
+// OnEvent implements Probe. The sampler follows the queue-changing kinds
+// of the base and membership streams; a failover empties the crashed
+// server's queue, and done flushes pending completions and emits every
 // remaining boundary up to and including the makespan.
-func (s *Sampler) OnDone(makespan core.Time) {
-	if s.doneEmits {
-		return
-	}
-	s.doneEmits = true
-	s.advance(makespan)
-	for s.next <= makespan {
-		s.record(s.next)
-		s.next += s.dt
+func (s *Sampler) OnEvent(ev Event) {
+	switch ev.Kind {
+	case Arrival:
+		s.advance(ev.T)
+		s.posOf[ev.Task] = len(s.arrived)
+		s.arrived = append(s.arrived, ev.Task)
+		s.releases = append(s.releases, ev.T)
+		s.finished = append(s.finished, false)
+		s.inFlight++
+		s.backlog++
+	case Dispatch:
+		s.advance(ev.T)
+		if ev.Server >= 0 && ev.Server < s.m {
+			s.queue[ev.Server]++
+		}
+	case Complete:
+		// The fault-free simulator reports completions at dispatch with a
+		// future end; buffer and apply in time order.
+		s.pending.Push(ev.T, sampDone{task: ev.Task, server: ev.Server})
+	case Drop:
+		s.advance(ev.T)
+		s.markFinished(ev.Task)
+	case Retry, ScaleUp, Handoff:
+		s.advance(ev.T)
+	case Failover:
+		s.advance(ev.T)
+		if ev.Server >= 0 && ev.Server < s.m {
+			s.queue[ev.Server] = 0
+		}
+	case Join, ScaleDown:
+		s.advance(ev.T)
+		s.members = ev.Members
+	case Done:
+		if s.doneEmits {
+			return
+		}
+		s.doneEmits = true
+		s.advance(ev.T)
+		for s.next <= ev.T {
+			s.record(s.next)
+			s.next += s.dt
+		}
 	}
 }

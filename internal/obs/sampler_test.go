@@ -37,13 +37,13 @@ func TestSamplerHandRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 0, 0, 0, 2)
-	s.OnComplete(0, 0, 0, 2, 2) // eager: end is in the future
-	s.OnArrival(1, 1)
-	s.OnDispatch(1, 1, 1, 1, 3)
-	s.OnComplete(1, 1, 1, 2, 3)
-	s.OnDone(3)
+	s.OnEvent(Event{Kind: Arrival, T: 0, Task: 0})
+	s.OnEvent(Event{Kind: Dispatch, T: 0, Task: 0, Server: 0, Start: 0, End: 2})
+	s.OnEvent(Event{Kind: Complete, T: 2, Task: 0, Server: 0, Release: 0, Proc: 2}) // eager: end is in the future
+	s.OnEvent(Event{Kind: Arrival, T: 1, Task: 1})
+	s.OnEvent(Event{Kind: Dispatch, T: 1, Task: 1, Server: 1, Start: 1, End: 3})
+	s.OnEvent(Event{Kind: Complete, T: 3, Task: 1, Server: 1, Release: 1, Proc: 2})
+	s.OnEvent(Event{Kind: Done, T: 3})
 
 	want := []Sample{
 		{Time: 0, Queue: []int{1, 0}, Backlog: 1, MaxAge: 0, Busy: 1},
@@ -84,18 +84,18 @@ func TestSamplerCoarseInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 0, 0, 0, 1)
-	s.OnComplete(0, 0, 0, 1, 1)
-	s.OnDone(1)
+	s.OnEvent(Event{Kind: Arrival, T: 0, Task: 0})
+	s.OnEvent(Event{Kind: Dispatch, T: 0, Task: 0, Server: 0, Start: 0, End: 1})
+	s.OnEvent(Event{Kind: Complete, T: 1, Task: 0, Server: 0, Release: 0, Proc: 1})
+	s.OnEvent(Event{Kind: Done, T: 1})
 	got := s.Samples()
 	if len(got) != 1 || got[0].Time != 0 || got[0].Backlog != 1 || got[0].Busy != 1 {
 		t.Fatalf("samples = %+v, want single t=0 sample with backlog 1", got)
 	}
-	// OnDone must be idempotent — the facade may call it defensively.
-	s.OnDone(1)
+	// The done event must be idempotent — the facade may send it defensively.
+	s.OnEvent(Event{Kind: Done, T: 1})
 	if len(s.Samples()) != 1 {
-		t.Errorf("second OnDone appended samples: %+v", s.Samples())
+		t.Errorf("second done event appended samples: %+v", s.Samples())
 	}
 }
 
@@ -106,15 +106,15 @@ func TestSamplerFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 0, 0, 0, 5)
+	s.OnEvent(Event{Kind: Arrival, T: 0, Task: 0})
+	s.OnEvent(Event{Kind: Dispatch, T: 0, Task: 0, Server: 0, Start: 0, End: 5})
 	// Faulty runs report completions only when final: none here. Server 0
 	// crashes at t = 2 losing the request, which retries onto server 1.
-	s.OnFailover(0, 2, 1)
-	s.OnRetry(0, 1, 2)
-	s.OnDispatch(0, 1, 2, 2, 7)
-	s.OnComplete(0, 1, 0, 5, 7)
-	s.OnDone(7)
+	s.OnEvent(Event{Kind: Failover, T: 2, Server: 0, Lost: 1})
+	s.OnEvent(Event{Kind: Retry, T: 2, Task: 0, Attempt: 1})
+	s.OnEvent(Event{Kind: Dispatch, T: 2, Task: 0, Server: 1, Start: 2, End: 7})
+	s.OnEvent(Event{Kind: Complete, T: 7, Task: 0, Server: 1, Release: 0, Proc: 5})
+	s.OnEvent(Event{Kind: Done, T: 7})
 
 	got := s.Samples()
 	// t=0,1: queued on M1. t=2..6: queued on M2. t=7: done.
@@ -150,11 +150,11 @@ func TestSamplerDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 0, 0, 0, 4)
-	s.OnFailover(0, 1, 1)
-	s.OnDrop(0, 0, 1)
-	s.OnDone(2)
+	s.OnEvent(Event{Kind: Arrival, T: 0, Task: 0})
+	s.OnEvent(Event{Kind: Dispatch, T: 0, Task: 0, Server: 0, Start: 0, End: 4})
+	s.OnEvent(Event{Kind: Failover, T: 1, Server: 0, Lost: 1})
+	s.OnEvent(Event{Kind: Drop, T: 1, Task: 0, Release: 0})
+	s.OnEvent(Event{Kind: Done, T: 2})
 	got := s.Samples()
 	if len(got) != 3 {
 		t.Fatalf("got %d samples: %+v", len(got), got)

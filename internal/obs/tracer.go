@@ -207,7 +207,7 @@ func (t *TaskTrace) rank() float64 {
 
 // open returns the task's pending primary attempt — hedge sibling spans are
 // skipped: crash/shed/handoff events always target the primary, while hedge
-// spans resolve only through OnComplete or OnHedgeCancel.
+// spans resolve only through complete or hedge-cancel events.
 func (t *TaskTrace) open() *AttemptSpan {
 	for i := len(t.Attempts) - 1; i >= 0; i-- {
 		a := &t.Attempts[i]
@@ -263,8 +263,7 @@ func KeepWorst(k int) Retention {
 	return Retention{k: k}
 }
 
-// Tracer is a Probe (plus OverloadObserver and MembershipObserver) that
-// assembles per-task causal span trees from the engine's event stream with
+// Tracer is a Probe that assembles per-task causal span trees from the engine's event stream with
 // zero engine changes: queued → attempt[k] (server, [start,end),
 // aborted-by-crash / handed-off / shed) → complete | drop | reject.
 //
@@ -297,10 +296,10 @@ func NewTracer(r Retention) *Tracer {
 	return t
 }
 
-// Done reports whether the traced run has finished (OnDone fired).
+// Done reports whether the traced run has finished (its done event arrived).
 func (t *Tracer) Done() bool { return t.done }
 
-// Makespan returns the traced run's makespan (0 before OnDone).
+// Makespan returns the traced run's makespan (0 before the done event).
 func (t *Tracer) Makespan() core.Time { return t.makespan }
 
 // Trace returns the task's trace, nil if it was never seen or was discarded
@@ -406,200 +405,117 @@ func (t *Tracer) terminal(tr *TaskTrace) {
 	t.siftDown(0)
 }
 
-// OnArrival implements Probe: it opens the task's queued root span.
-func (t *Tracer) OnArrival(task int, release core.Time) {
-	tr := &TaskTrace{
-		Task: task, Release: release,
-		EndAt: core.Time(math.NaN()), Flow: core.Time(math.NaN()),
+// OnEvent implements Probe, assembling span trees from the task-level
+// kinds:
+//
+//   - arrival opens the task's queued root span;
+//   - dispatch opens an attempt with the engine's forecast service interval,
+//     and hedge opens a speculative sibling span racing the primary;
+//   - complete closes the attempt on its server (a hedged task's winner) or
+//     the pending primary, reconciling a silent watermark re-time: the
+//     completion end is exact, so a forecast mismatch flags Retimed and
+//     reconstructs the start as end − proc;
+//   - retry, drop, shed and handoff close the pending primary as crashed,
+//     crashed, shed or handed-off; drop, reject and shed resolve the task;
+//   - hedge-cancel closes the losing attempt on its server;
+//   - done flushes unresolved tasks into retention (ranking above every
+//     finite flow) in task order.
+//
+// Server-level kinds carry no per-task consequence: a crash reaches tasks
+// through retry or drop, a drain through handoff, and a hedge win through
+// complete and hedge-cancel. Events for tasks the tracer never saw arrive
+// (a tracer attached mid-run) are ignored.
+func (t *Tracer) OnEvent(ev Event) {
+	if ev.Kind == Done {
+		t.done = true
+		t.makespan = ev.T
+		if t.retain.k > 0 {
+			ids := make([]int, 0, len(t.live))
+			for id := range t.live {
+				ids = append(ids, id)
+			}
+			sort.Ints(ids)
+			for _, id := range ids {
+				t.terminal(t.live[id])
+			}
+		}
+		return
 	}
-	t.live[task] = tr
-	if t.retain.k == 0 {
-		t.all = append(t.all, tr)
+	if ev.Kind == Arrival {
+		tr := &TaskTrace{
+			Task: ev.Task, Release: ev.T,
+			EndAt: core.Time(math.NaN()), Flow: core.Time(math.NaN()),
+		}
+		t.live[ev.Task] = tr
+		if t.retain.k == 0 {
+			t.all = append(t.all, tr)
+		}
+		return
 	}
-}
-
-// OnDispatch implements Probe: it opens attempt k with the engine's
-// forecast service interval.
-func (t *Tracer) OnDispatch(task, server int, at, start, end core.Time) {
-	tr := t.live[task]
-	if tr == nil {
-		return // tracer attached mid-run; ignore tasks we never saw arrive
+	if kinds[ev.Kind].fields&fTask == 0 {
+		return
 	}
-	tr.Attempts = append(tr.Attempts, AttemptSpan{
-		Server: server, At: at, Start: start, End: end,
-		AbortAt: core.Time(math.NaN()),
-	})
-}
-
-// OnComplete implements Probe: it closes the pending attempt, reconciling
-// a silent watermark re-time — the completion end is exact, so a forecast
-// mismatch flags Retimed and reconstructs the start as end − proc.
-func (t *Tracer) OnComplete(task, server int, release, proc, end core.Time) {
-	tr := t.live[task]
+	tr := t.live[ev.Task]
 	if tr == nil {
 		return
 	}
-	a := tr.openOn(server) // the winning attempt of a hedged task, by server
-	if a == nil {
-		a = tr.open()
+	resolve := func(s TraceState, release core.Time) {
+		tr.State = s
+		tr.EndAt = ev.T
+		tr.Flow = ev.T - release
+		t.terminal(tr)
 	}
-	if a == nil {
-		// Defensive: a completion with no pending attempt (cannot happen with
-		// the engine's hook contract). Record a synthetic attempt.
+	switch ev.Kind {
+	case Dispatch, Hedge:
 		tr.Attempts = append(tr.Attempts, AttemptSpan{
-			Server: server, At: core.Time(math.NaN()), Start: end - proc, End: end,
-			AbortAt: core.Time(math.NaN()), Retimed: true,
+			Server: ev.Server, At: ev.T, Start: ev.Start, End: ev.End,
+			AbortAt: core.Time(math.NaN()), Hedge: ev.Kind == Hedge,
 		})
-		a = &tr.Attempts[len(tr.Attempts)-1]
-	} else if a.End != end {
-		// faults.FinishTime is strictly increasing in the start instant, so
-		// same end ⟺ same start: a changed end is a complete re-time detector.
-		a.Retimed = true
-		a.End = end
-		a.Start = end - proc
-	}
-	a.Outcome = AttemptCompleted
-	tr.State = TraceCompleted
-	tr.EndAt = end
-	tr.Flow = end - release
-	t.terminal(tr)
-}
-
-// OnDrop implements Probe: the pending attempt (aborted by the crash that
-// triggered the retry decision) closes as crashed and the task resolves
-// dropped.
-func (t *Tracer) OnDrop(task int, release, at core.Time) {
-	tr := t.live[task]
-	if tr == nil {
-		return
-	}
-	tr.abort(AttemptCrashed, at)
-	tr.State = TraceDropped
-	tr.EndAt = at
-	tr.Flow = at - release
-	t.terminal(tr)
-}
-
-// OnRetry implements Probe: the crash-aborted attempt closes and the task
-// re-enters the queued state until its re-dispatch.
-func (t *Tracer) OnRetry(task, attempt int, at core.Time) {
-	tr := t.live[task]
-	if tr == nil {
-		return
-	}
-	tr.abort(AttemptCrashed, at)
-	tr.Retries++
-}
-
-// OnFailover implements Probe. Per-task crash consequences arrive through
-// OnRetry/OnDrop, so the tracer needs nothing here.
-func (t *Tracer) OnFailover(server int, at core.Time, lost int) {}
-
-// OnDone implements Probe: unresolved tasks are flushed into retention
-// (ranking above every finite flow) in task order.
-func (t *Tracer) OnDone(makespan core.Time) {
-	t.makespan = makespan
-	t.done = true
-	if t.retain.k == 0 {
-		return
-	}
-	ids := make([]int, 0, len(t.live))
-	for id := range t.live {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		t.terminal(t.live[id])
-	}
-}
-
-// OnReject implements OverloadObserver: the task resolves rejected with no
-// attempts.
-func (t *Tracer) OnReject(task int, at core.Time, reason string) {
-	tr := t.live[task]
-	if tr == nil {
-		return
-	}
-	tr.State = TraceRejected
-	tr.Reason = reason
-	tr.EndAt = at
-	tr.Flow = at - tr.Release
-	t.terminal(tr)
-}
-
-// OnShed implements OverloadObserver: the pending attempt (if any — a
-// deadline shed happens before dispatch and has none) closes as shed and
-// the task resolves shed.
-func (t *Tracer) OnShed(task, server int, release, at core.Time, reason string) {
-	tr := t.live[task]
-	if tr == nil {
-		return
-	}
-	tr.abort(AttemptShed, at)
-	tr.State = TraceShed
-	tr.Reason = reason
-	tr.EndAt = at
-	tr.Flow = at - release
-	t.terminal(tr)
-}
-
-// OnEject implements OverloadObserver (no per-task consequence).
-func (t *Tracer) OnEject(server int, at core.Time) {}
-
-// OnReadmit implements OverloadObserver (no per-task consequence).
-func (t *Tracer) OnReadmit(server int, at core.Time) {}
-
-// OnBrownout implements OverloadObserver (no per-task consequence).
-func (t *Tracer) OnBrownout(at core.Time, active bool) {}
-
-// OnScaleUp implements MembershipObserver (no per-task consequence).
-func (t *Tracer) OnScaleUp(machine int, at, ready core.Time) {}
-
-// OnJoin implements MembershipObserver (no per-task consequence).
-func (t *Tracer) OnJoin(machine int, at core.Time, members int) {}
-
-// OnScaleDown implements MembershipObserver (per-task consequences arrive
-// through OnHandoff).
-func (t *Tracer) OnScaleDown(machine int, at core.Time, members, handoffs int) {}
-
-// OnHandoff implements MembershipObserver: the pending attempt closes as
-// handed-off; the re-dispatch (or parking) follows through OnDispatch.
-func (t *Tracer) OnHandoff(task, from int, at core.Time) {
-	tr := t.live[task]
-	if tr == nil {
-		return
-	}
-	tr.abort(AttemptHandedOff, at)
-}
-
-// OnHedge implements HedgeObserver: the speculative copy opens as a sibling
-// span racing the pending primary attempt.
-func (t *Tracer) OnHedge(task, from, to int, at, start, end core.Time) {
-	tr := t.live[task]
-	if tr == nil {
-		return
-	}
-	tr.Attempts = append(tr.Attempts, AttemptSpan{
-		Server: to, At: at, Start: start, End: end,
-		AbortAt: core.Time(math.NaN()), Hedge: true,
-	})
-}
-
-// OnHedgeWin implements HedgeObserver. The winning attempt closes through
-// OnComplete (server-matched) and the loser through OnHedgeCancel, so the
-// tracer needs nothing here.
-func (t *Tracer) OnHedgeWin(task, server int, byCopy bool, at core.Time) {}
-
-// OnHedgeCancel implements HedgeObserver: the losing attempt on the given
-// server (primary or copy) closes as hedge-cancelled.
-func (t *Tracer) OnHedgeCancel(task, server int, at core.Time, started bool) {
-	tr := t.live[task]
-	if tr == nil {
-		return
-	}
-	if a := tr.openOn(server); a != nil {
-		a.Outcome = AttemptHedgeCancelled
-		a.AbortAt = at
+	case Complete:
+		end := ev.T
+		a := tr.openOn(ev.Server) // the winning attempt of a hedged task, by server
+		if a == nil {
+			a = tr.open()
+		}
+		if a == nil {
+			// Defensive: a completion with no pending attempt (cannot happen
+			// with the engine's event contract). Record a synthetic attempt.
+			tr.Attempts = append(tr.Attempts, AttemptSpan{
+				Server: ev.Server, At: core.Time(math.NaN()), Start: end - ev.Proc, End: end,
+				AbortAt: core.Time(math.NaN()), Retimed: true,
+			})
+			a = &tr.Attempts[len(tr.Attempts)-1]
+		} else if a.End != end {
+			// faults.FinishTime is strictly increasing in the start instant,
+			// so same end ⟺ same start: a changed end is a complete re-time
+			// detector.
+			a.Retimed = true
+			a.End = end
+			a.Start = end - ev.Proc
+		}
+		a.Outcome = AttemptCompleted
+		resolve(TraceCompleted, ev.Release)
+	case Drop:
+		tr.abort(AttemptCrashed, ev.T)
+		resolve(TraceDropped, ev.Release)
+	case Retry:
+		tr.abort(AttemptCrashed, ev.T)
+		tr.Retries++
+	case Reject:
+		tr.Reason = ev.Reason
+		resolve(TraceRejected, tr.Release)
+	case Shed:
+		// A deadline shed happens before dispatch and has no pending attempt.
+		tr.abort(AttemptShed, ev.T)
+		tr.Reason = ev.Reason
+		resolve(TraceShed, ev.Release)
+	case Handoff:
+		tr.abort(AttemptHandedOff, ev.T)
+	case HedgeCancel:
+		if a := tr.openOn(ev.Server); a != nil {
+			a.Outcome = AttemptHedgeCancelled
+			a.AbortAt = ev.T
+		}
 	}
 }
 

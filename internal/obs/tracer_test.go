@@ -16,24 +16,24 @@ func TestTracerSpanAssembly(t *testing.T) {
 	tr := NewTracer(KeepAll())
 
 	// Task 0: clean single-attempt completion.
-	tr.OnArrival(0, 1)
-	tr.OnDispatch(0, 2, 1, 3, 5)
-	tr.OnComplete(0, 2, 1, 2, 5)
+	tr.OnEvent(Event{Kind: Arrival, T: 1, Task: 0})
+	tr.OnEvent(Event{Kind: Dispatch, T: 1, Task: 0, Server: 2, Start: 3, End: 5})
+	tr.OnEvent(Event{Kind: Complete, T: 5, Task: 0, Server: 2, Release: 1, Proc: 2})
 
 	// Task 1: crash-aborted attempt, retry, second attempt completes.
-	tr.OnArrival(1, 2)
-	tr.OnDispatch(1, 0, 2, 2, 6)
-	tr.OnFailover(0, 4, 1)
-	tr.OnRetry(1, 1, 4)
-	tr.OnDispatch(1, 1, 4, 7, 11)
-	tr.OnComplete(1, 1, 2, 4, 11)
+	tr.OnEvent(Event{Kind: Arrival, T: 2, Task: 1})
+	tr.OnEvent(Event{Kind: Dispatch, T: 2, Task: 1, Server: 0, Start: 2, End: 6})
+	tr.OnEvent(Event{Kind: Failover, T: 4, Server: 0, Lost: 1})
+	tr.OnEvent(Event{Kind: Retry, T: 4, Task: 1, Attempt: 1})
+	tr.OnEvent(Event{Kind: Dispatch, T: 4, Task: 1, Server: 1, Start: 7, End: 11})
+	tr.OnEvent(Event{Kind: Complete, T: 11, Task: 1, Server: 1, Release: 2, Proc: 4})
 
 	// Task 2: crash then drop.
-	tr.OnArrival(2, 3)
-	tr.OnDispatch(2, 0, 3, 8, 9)
-	tr.OnDrop(2, 3, 10)
+	tr.OnEvent(Event{Kind: Arrival, T: 3, Task: 2})
+	tr.OnEvent(Event{Kind: Dispatch, T: 3, Task: 2, Server: 0, Start: 8, End: 9})
+	tr.OnEvent(Event{Kind: Drop, T: 10, Task: 2, Release: 3})
 
-	tr.OnDone(11)
+	tr.OnEvent(Event{Kind: Done, T: 11})
 	if !tr.Done() || tr.Makespan() != 11 {
 		t.Fatalf("Done=%v Makespan=%v", tr.Done(), tr.Makespan())
 	}
@@ -72,11 +72,11 @@ func TestTracerSpanAssembly(t *testing.T) {
 
 func TestTracerRetimeReconciliation(t *testing.T) {
 	tr := NewTracer(KeepAll())
-	tr.OnArrival(0, 0)
-	tr.OnDispatch(0, 1, 0, 5, 8) // forecast [5, 8)
+	tr.OnEvent(Event{Kind: Arrival, T: 0, Task: 0})
+	tr.OnEvent(Event{Kind: Dispatch, T: 0, Task: 0, Server: 1, Start: 5, End: 8}) // forecast [5, 8)
 	// A watermark shed ahead in the queue silently re-timed the attempt; the
 	// completion arrives with a different end.
-	tr.OnComplete(0, 1, 0, 3, 7)
+	tr.OnEvent(Event{Kind: Complete, T: 7, Task: 0, Server: 1, Release: 0, Proc: 3})
 	a := tr.Trace(0).Attempts[0]
 	if !a.Retimed {
 		t.Fatal("forecast-end mismatch not flagged Retimed")
@@ -86,9 +86,9 @@ func TestTracerRetimeReconciliation(t *testing.T) {
 	}
 
 	// Matching forecast stays untouched.
-	tr.OnArrival(1, 0)
-	tr.OnDispatch(1, 0, 0, 2, 6)
-	tr.OnComplete(1, 0, 0, 4, 6)
+	tr.OnEvent(Event{Kind: Arrival, T: 0, Task: 1})
+	tr.OnEvent(Event{Kind: Dispatch, T: 0, Task: 1, Server: 0, Start: 2, End: 6})
+	tr.OnEvent(Event{Kind: Complete, T: 6, Task: 1, Server: 0, Release: 0, Proc: 4})
 	if a := tr.Trace(1).Attempts[0]; a.Retimed || a.Start != 2 {
 		t.Fatalf("clean completion mangled: %+v", a)
 	}
@@ -98,8 +98,8 @@ func TestTracerOverloadAndMembershipHooks(t *testing.T) {
 	tr := NewTracer(KeepAll())
 
 	// Rejection on arrival: no attempts, reason recorded.
-	tr.OnArrival(0, 1)
-	tr.OnReject(0, 1, "queue-bound")
+	tr.OnEvent(Event{Kind: Arrival, T: 1, Task: 0})
+	tr.OnEvent(Event{Kind: Reject, T: 1, Task: 0, Reason: "queue-bound"})
 	t0 := tr.Trace(0)
 	if t0.State != TraceRejected || t0.Reason != "queue-bound" || len(t0.Attempts) != 0 || t0.Flow != 0 {
 		t.Fatalf("rejected trace = %+v", t0)
@@ -107,28 +107,28 @@ func TestTracerOverloadAndMembershipHooks(t *testing.T) {
 
 	// Watermark shed closes the open attempt; deadline shed (no dispatch)
 	// leaves none.
-	tr.OnArrival(1, 0)
-	tr.OnDispatch(1, 2, 0, 5, 6)
-	tr.OnShed(1, 2, 0, 9, "watermark")
+	tr.OnEvent(Event{Kind: Arrival, T: 0, Task: 1})
+	tr.OnEvent(Event{Kind: Dispatch, T: 0, Task: 1, Server: 2, Start: 5, End: 6})
+	tr.OnEvent(Event{Kind: Shed, T: 9, Task: 1, Server: 2, Release: 0, Reason: "watermark"})
 	t1 := tr.Trace(1)
 	if t1.State != TraceShed || t1.Flow != 9 || t1.Attempts[0].Outcome != AttemptShed ||
 		t1.Attempts[0].AbortAt != 9 {
 		t.Fatalf("shed trace = %+v", t1)
 	}
-	tr.OnArrival(2, 4)
-	tr.OnShed(2, 3, 4, 7, "deadline")
+	tr.OnEvent(Event{Kind: Arrival, T: 4, Task: 2})
+	tr.OnEvent(Event{Kind: Shed, T: 7, Task: 2, Server: 3, Release: 4, Reason: "deadline"})
 	if t2 := tr.Trace(2); t2.State != TraceShed || len(t2.Attempts) != 0 || t2.Flow != 3 {
 		t.Fatalf("deadline-shed trace = %+v", t2)
 	}
 
 	// Handoff closes the attempt as handed-off; the re-dispatch opens a new
 	// one and the completion closes it.
-	tr.OnArrival(3, 0)
-	tr.OnDispatch(3, 0, 0, 1, 4)
-	tr.OnScaleDown(0, 2, 3, 1)
-	tr.OnHandoff(3, 0, 2)
-	tr.OnDispatch(3, 1, 2, 2, 5)
-	tr.OnComplete(3, 1, 0, 3, 5)
+	tr.OnEvent(Event{Kind: Arrival, T: 0, Task: 3})
+	tr.OnEvent(Event{Kind: Dispatch, T: 0, Task: 3, Server: 0, Start: 1, End: 4})
+	tr.OnEvent(Event{Kind: ScaleDown, T: 2, Server: 0, Members: 3, Handoffs: 1})
+	tr.OnEvent(Event{Kind: Handoff, T: 2, Task: 3, Server: 0})
+	tr.OnEvent(Event{Kind: Dispatch, T: 2, Task: 3, Server: 1, Start: 2, End: 5})
+	tr.OnEvent(Event{Kind: Complete, T: 5, Task: 3, Server: 1, Release: 0, Proc: 3})
 	t3 := tr.Trace(3)
 	if len(t3.Attempts) != 2 || t3.Attempts[0].Outcome != AttemptHandedOff ||
 		t3.Attempts[0].AbortAt != 2 || t3.Attempts[1].Outcome != AttemptCompleted {
@@ -154,11 +154,11 @@ func TestTracerKeepWorstExact(t *testing.T) {
 			// exercised, not just the float order.
 			flow := float64(rng.Intn(12))
 			flows[id] = flow
-			tr.OnArrival(id, 0)
-			tr.OnDispatch(id, 0, 0, 0, core.Time(flow))
-			tr.OnComplete(id, 0, 0, 1, core.Time(flow))
+			tr.OnEvent(Event{Kind: Arrival, T: 0, Task: id})
+			tr.OnEvent(Event{Kind: Dispatch, T: 0, Task: id, Server: 0, Start: 0, End: core.Time(flow)})
+			tr.OnEvent(Event{Kind: Complete, T: core.Time(flow), Task: id, Server: 0, Release: 0, Proc: 1})
 		}
-		tr.OnDone(100)
+		tr.OnEvent(Event{Kind: Done, T: 100})
 
 		// Oracle: sort all tasks by (flow desc, id asc), take the first k.
 		ids := make([]int, n)
@@ -198,12 +198,12 @@ func TestTracerKeepWorstExact(t *testing.T) {
 func TestTracerKeepWorstUnfinishedRanksWorst(t *testing.T) {
 	tr := NewTracer(KeepWorst(2))
 	for id := 0; id < 5; id++ {
-		tr.OnArrival(id, 0)
-		tr.OnDispatch(id, 0, 0, 0, core.Time(100+id))
-		tr.OnComplete(id, 0, 0, 1, core.Time(100+id))
+		tr.OnEvent(Event{Kind: Arrival, T: 0, Task: id})
+		tr.OnEvent(Event{Kind: Dispatch, T: 0, Task: id, Server: 0, Start: 0, End: core.Time(100 + id)})
+		tr.OnEvent(Event{Kind: Complete, T: core.Time(100 + id), Task: id, Server: 0, Release: 0, Proc: 1})
 	}
-	tr.OnArrival(9, 50) // never resolves
-	tr.OnDone(200)
+	tr.OnEvent(Event{Kind: Arrival, T: 50, Task: 9}) // never resolves
+	tr.OnEvent(Event{Kind: Done, T: 200})
 
 	worst := tr.Worst(2)
 	if len(worst) != 2 || worst[0].Task != 9 || worst[0].State != TraceUnfinished {
@@ -219,11 +219,11 @@ func TestTracerKeepWorstUnfinishedRanksWorst(t *testing.T) {
 
 func TestTracerWriteJSON(t *testing.T) {
 	tr := NewTracer(KeepAll())
-	tr.OnArrival(0, 1)
-	tr.OnDispatch(0, 2, 1, 3, 5)
-	tr.OnComplete(0, 2, 1, 2, 5)
-	tr.OnArrival(1, 2) // unfinished: NaN instants must encode as null
-	tr.OnDone(5)
+	tr.OnEvent(Event{Kind: Arrival, T: 1, Task: 0})
+	tr.OnEvent(Event{Kind: Dispatch, T: 1, Task: 0, Server: 2, Start: 3, End: 5})
+	tr.OnEvent(Event{Kind: Complete, T: 5, Task: 0, Server: 2, Release: 1, Proc: 2})
+	tr.OnEvent(Event{Kind: Arrival, T: 2, Task: 1}) // unfinished: NaN instants must encode as null
+	tr.OnEvent(Event{Kind: Done, T: 5})
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -265,12 +265,12 @@ func TestTracerHedgeSiblingSpans(t *testing.T) {
 	tr := NewTracer(KeepAll())
 
 	// Task 0: hedge issued, the copy wins, the primary is hedge-cancelled.
-	tr.OnArrival(0, 0)
-	tr.OnDispatch(0, 1, 0, 5, 15) // slow primary
-	tr.OnHedge(0, 1, 2, 3, 4, 7)  // sibling copy on server 2
-	tr.OnHedgeWin(0, 2, true, 7)
-	tr.OnComplete(0, 2, 0, 3, 7)
-	tr.OnHedgeCancel(0, 1, 7, true)
+	tr.OnEvent(Event{Kind: Arrival, T: 0, Task: 0})
+	tr.OnEvent(Event{Kind: Dispatch, T: 0, Task: 0, Server: 1, Start: 5, End: 15})      // slow primary
+	tr.OnEvent(Event{Kind: Hedge, T: 3, Task: 0, Server: 2, Start: 4, End: 7, From: 1}) // sibling copy on server 2
+	tr.OnEvent(Event{Kind: HedgeWin, T: 7, Task: 0, Server: 2, Copy: true})
+	tr.OnEvent(Event{Kind: Complete, T: 7, Task: 0, Server: 2, Release: 0, Proc: 3})
+	tr.OnEvent(Event{Kind: HedgeCancel, T: 7, Task: 0, Server: 1, Started: true})
 
 	t0 := tr.Trace(0)
 	if t0.State != TraceCompleted || len(t0.Attempts) != 2 {
@@ -287,12 +287,12 @@ func TestTracerHedgeSiblingSpans(t *testing.T) {
 	// Task 1: hedge issued, the primary wins, the copy is hedge-cancelled
 	// before service — the cancellation must close the copy span, not the
 	// pending primary.
-	tr.OnArrival(1, 0)
-	tr.OnDispatch(1, 0, 0, 0, 4)
-	tr.OnHedge(1, 0, 3, 2, 6, 10)
-	tr.OnHedgeWin(1, 0, false, 4)
-	tr.OnComplete(1, 0, 0, 4, 4)
-	tr.OnHedgeCancel(1, 3, 4, false)
+	tr.OnEvent(Event{Kind: Arrival, T: 0, Task: 1})
+	tr.OnEvent(Event{Kind: Dispatch, T: 0, Task: 1, Server: 0, Start: 0, End: 4})
+	tr.OnEvent(Event{Kind: Hedge, T: 2, Task: 1, Server: 3, Start: 6, End: 10, From: 0})
+	tr.OnEvent(Event{Kind: HedgeWin, T: 4, Task: 1, Server: 0})
+	tr.OnEvent(Event{Kind: Complete, T: 4, Task: 1, Server: 0, Release: 0, Proc: 4})
+	tr.OnEvent(Event{Kind: HedgeCancel, T: 4, Task: 1, Server: 3})
 
 	t1 := tr.Trace(1)
 	if len(t1.Attempts) != 2 {
@@ -307,11 +307,11 @@ func TestTracerHedgeSiblingSpans(t *testing.T) {
 
 	// Task 2: a crash aborts the primary while a copy is pending — the
 	// crash must close the primary span, skipping the hedge sibling.
-	tr.OnArrival(2, 0)
-	tr.OnDispatch(2, 0, 0, 0, 9)
-	tr.OnHedge(2, 0, 1, 2, 5, 14)
-	tr.OnFailover(0, 3, 1)
-	tr.OnRetry(2, 1, 3)
+	tr.OnEvent(Event{Kind: Arrival, T: 0, Task: 2})
+	tr.OnEvent(Event{Kind: Dispatch, T: 0, Task: 2, Server: 0, Start: 0, End: 9})
+	tr.OnEvent(Event{Kind: Hedge, T: 2, Task: 2, Server: 1, Start: 5, End: 14, From: 0})
+	tr.OnEvent(Event{Kind: Failover, T: 3, Server: 0, Lost: 1})
+	tr.OnEvent(Event{Kind: Retry, T: 3, Task: 2, Attempt: 1})
 	t2 := tr.Trace(2)
 	if a := t2.Attempts[0]; a.Hedge || a.Outcome != AttemptCrashed || a.AbortAt != 3 {
 		t.Fatalf("task 2 primary after crash = %+v", a)

@@ -93,10 +93,10 @@ type ElasticMetrics struct {
 	// BreakerOpens/BreakerCloses/BreakerProbes count breaker open
 	// episodes, probe-success closes and issued half-open probes;
 	// BreakerSpans records each open episode for the auditor.
-	BreakerOpens   int
-	BreakerCloses  int
-	BreakerProbes  int
-	BreakerSpans   []resilience.Span
+	BreakerOpens  int
+	BreakerCloses int
+	BreakerProbes int
+	BreakerSpans  []resilience.Span
 	// ProbeDispatch marks tasks whose completing dispatch was a half-open
 	// probe (the only dispatches legal against a non-closed breaker).
 	ProbeDispatch []bool
@@ -109,7 +109,6 @@ type ElasticMetrics struct {
 // byte-identical to RunGuarded.
 type elRun struct {
 	cfg      *elastic.Config
-	mo       obs.MembershipObserver
 	ctrl     *elastic.Controller
 	guard    *overload.Estimator
 	ownGuard bool // guard not shared with the overload config: engine feeds it
@@ -297,7 +296,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		if b, ok := cfg.Admission.(overload.Budgeted); ok {
 			ov.budget = b.Budget()
 		}
-		ov.op, _ = probe.(obs.OverloadObserver)
 		if cfg.Shedder.Enabled() {
 			if ov.cands == nil {
 				ov.cands = make([]overload.Candidate, 0, 16)
@@ -334,7 +332,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		}
 		a.membership = elastic.Membership{Capacity: m, Initial: el.members, Changes: a.membership.Changes[:0]}
 		el.ms = &a.membership
-		el.mo, _ = probe.(obs.MembershipObserver)
 		if a.ctrl.Reset(ecfg, m) {
 			el.ctrl = &a.ctrl
 		} else {
@@ -392,7 +389,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		if hcfg.Quantile > 0 && !hcfg.Tied {
 			hd.hist = obs.NewHistogram()
 		}
-		hd.ho, _ = probe.(obs.HedgeObserver)
 		metrics.Hedged = hd.hedged
 		metrics.HedgeCopyServer = hd.copySrv
 		metrics.HedgeCopyAt = hd.copyAt
@@ -419,7 +415,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			spans:   a.rs.spans[:0],
 			brkBuf:  a.rs.brkBuf,
 		}
-		rs.ro, _ = probe.(obs.ResilienceObserver)
 		if rcfg.RetryBudget > 0 {
 			rs.budgetOn = true
 			rs.budget.Reset(rcfg.RetryBudget, rcfg.BudgetBurstOrDefault())
@@ -491,9 +486,10 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				if hd.done[rid] || metrics.Dropped[rid] || (ov != nil && metrics.Shed[rid]) {
 					// A losing attempt ran to completion: silently reclaim
 					// its queue slot. All of its busy time was duplicate
-					// work; no OnComplete fires and the ejector sees nothing
-					// — the task completed earlier, exactly once (or was
-					// excluded, and this un-cancellable attempt just drained).
+					// work; no complete event fires and the ejector sees
+					// nothing — the task completed earlier, exactly once (or
+					// was excluded, and this un-cancellable attempt just
+					// drained).
 					st.QueueLen[c.server]--
 					if fq.head[c.server] == c.task {
 						fq.popHead(c.server)
@@ -520,7 +516,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					t := inst.Tasks[rid]
 					pj := a.machine[rid] // primary's server, before the winner overwrites it
 					if probe != nil {
-						probe.OnComplete(rid, c.server, t.Release, t.Proc, when)
+						probe.OnEvent(obs.Event{Kind: obs.Complete, T: when, Task: rid, Server: c.server, Release: t.Release, Proc: t.Proc})
 					}
 					st.QueueLen[c.server]--
 					if fq.head[c.server] == c.task {
@@ -552,8 +548,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 							rs.probe[rid] = false
 							events.Push(when, faultEvent{kind: evBreaker, server: pj})
 						}
-						if hd.ho != nil {
-							hd.ho.OnHedgeCancel(rid, pj, when, started)
+						if probe != nil {
+							probe.OnEvent(obs.Event{Kind: obs.HedgeCancel, T: when, Task: rid, Server: pj, Started: started})
 						}
 					}
 					if ov != nil && ov.cfg.Ejector != nil {
@@ -561,8 +557,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 							factor := float64((when - curStart[c.task]) / proc)
 							if ov.cfg.Ejector.Observe(c.server, factor, when) {
 								metrics.Ejections++
-								if ov.op != nil {
-									ov.op.OnEject(c.server, when)
+								if probe != nil {
+									probe.OnEvent(obs.Event{Kind: obs.Eject, T: when, Server: c.server})
 								}
 							}
 						}
@@ -571,11 +567,11 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 						// A copy is never a probe (it goes only to closed
 						// breakers), so its completion feeds the window.
 						if rs.brk.Observe(c.server, rs.failed(inst, rid, curStart[c.task], when), when) {
-							rs.opened(c.server, when, metrics, events)
+							rs.opened(c.server, when, metrics, events, probe)
 						}
 					}
-					if hd.ho != nil {
-						hd.ho.OnHedgeWin(rid, c.server, true, when)
+					if probe != nil {
+						probe.OnEvent(obs.Event{Kind: obs.HedgeWin, T: when, Task: rid, Server: c.server, Copy: true})
 					}
 					continue
 				}
@@ -586,14 +582,14 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				}
 				if hd.hedged[rid] {
 					metrics.HedgeWinsPrimary++
-					if hd.ho != nil {
-						hd.ho.OnHedgeWin(rid, c.server, false, when)
+					if probe != nil {
+						probe.OnEvent(obs.Event{Kind: obs.HedgeWin, T: when, Task: rid, Server: c.server})
 					}
 				}
 			}
 			if probe != nil {
 				t := inst.Tasks[c.task]
-				probe.OnComplete(c.task, c.server, t.Release, t.Proc, when)
+				probe.OnEvent(obs.Event{Kind: obs.Complete, T: when, Task: c.task, Server: c.server, Release: t.Release, Proc: t.Proc})
 			}
 			st.QueueLen[c.server]--
 			if fq.head[c.server] == c.task {
@@ -606,8 +602,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					factor := float64((when - curStart[c.task]) / proc)
 					if ov.cfg.Ejector.Observe(c.server, factor, when) {
 						metrics.Ejections++
-						if ov.op != nil {
-							ov.op.OnEject(c.server, when)
+						if probe != nil {
+							probe.OnEvent(obs.Event{Kind: obs.Eject, T: when, Server: c.server})
 						}
 					}
 				}
@@ -622,13 +618,13 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				if rs.probe[c.task] {
 					closedNow, openedNow := rs.brk.ObserveProbe(c.server, f, when)
 					if closedNow {
-						rs.closed(c.server, when, metrics, events)
+						rs.closed(c.server, when, metrics, events, probe)
 					}
 					if openedNow {
-						rs.opened(c.server, when, metrics, events)
+						rs.opened(c.server, when, metrics, events, probe)
 					}
 				} else if rs.brk.Observe(c.server, f, when) {
-					rs.opened(c.server, when, metrics, events)
+					rs.opened(c.server, when, metrics, events, probe)
 				}
 			}
 		}
@@ -640,7 +636,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		metrics.Stretches[id] = stretchOf(metrics.Flows[id], inst.Tasks[id].Proc)
 		sched.Assign(id, -1, math.NaN())
 		if probe != nil {
-			probe.OnDrop(id, inst.Tasks[id].Release, now)
+			probe.OnEvent(obs.Event{Kind: obs.Drop, T: now, Task: id, Release: inst.Tasks[id].Release})
 		}
 	}
 
@@ -652,8 +648,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		metrics.Flows[id] = now - inst.Tasks[id].Release
 		metrics.Stretches[id] = stretchOf(metrics.Flows[id], inst.Tasks[id].Proc)
 		sched.Assign(id, -1, math.NaN())
-		if ov.op != nil {
-			ov.op.OnShed(id, server, inst.Tasks[id].Release, now, reason)
+		if probe != nil {
+			probe.OnEvent(obs.Event{Kind: obs.Shed, T: now, Task: id, Server: server, Release: inst.Tasks[id].Release, Reason: reason})
 		}
 	}
 
@@ -661,8 +657,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		metrics.Rejected[id] = true
 		metrics.Reason[id] = reason
 		sched.Assign(id, -1, math.NaN())
-		if ov.op != nil {
-			ov.op.OnReject(id, now, reason)
+		if probe != nil {
+			probe.OnEvent(obs.Event{Kind: obs.Reject, T: now, Task: id, Reason: reason})
 		}
 	}
 
@@ -724,8 +720,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		if ov != nil && ov.cfg.Ejector != nil {
 			ov.cfg.Ejector.Readmit(now, func(j int) {
 				metrics.Readmissions++
-				if ov.op != nil {
-					ov.op.OnReadmit(j, now)
+				if probe != nil {
+					probe.OnEvent(obs.Event{Kind: obs.Readmit, T: now, Server: j})
 				}
 			})
 			ejecting = ov.cfg.Ejector.NumEjected() > 0
@@ -840,8 +836,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					rs.brk.StartProbe(j)
 					rs.probe[id] = true
 					metrics.BreakerProbes++
-					if rs.ro != nil {
-						rs.ro.OnBreakerProbe(j, id, now)
+					if probe != nil {
+						probe.OnEvent(obs.Event{Kind: obs.BreakerProbe, T: now, Task: id, Server: j})
 					}
 				} else if rs.probe[id] {
 					rs.probe[id] = false // defensive: a fresh attempt is not a probe
@@ -859,7 +855,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		metrics.Stretches[id] = stretchOf(end-task.Release, task.Proc)
 		metrics.Busy[j] += busy
 		if probe != nil {
-			probe.OnDispatch(id, j, now, start, end)
+			probe.OnEvent(obs.Event{Kind: obs.Dispatch, T: now, Task: id, Server: j, Start: start, End: end})
 		}
 		if hd != nil {
 			hd.priIn[id] = true
@@ -929,8 +925,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			if rs.budgetOn && !rs.budget.Take() {
 				metrics.RetriesDropped++
 				rs.bdrop[id] = true
-				if rs.ro != nil {
-					rs.ro.OnRetryBudgetDrop(id, metrics.Attempts[id], now)
+				if probe != nil {
+					probe.OnEvent(obs.Event{Kind: obs.RetryBudgetDrop, T: now, Task: id, Attempt: metrics.Attempts[id]})
 				}
 				if hd != nil && hd.copyLive[id] {
 					// Dropped unless its live hedge copy completes it.
@@ -944,7 +940,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		}
 		events.Push(next, faultEvent{kind: evRetry, task: id})
 		if probe != nil {
-			probe.OnRetry(id, metrics.Attempts[id], now)
+			probe.OnEvent(obs.Event{Kind: obs.Retry, T: now, Task: id, Attempt: metrics.Attempts[id]})
 		}
 	}
 
@@ -964,7 +960,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		// copyGone resolves the primary's deferred fate once its copy is gone:
 		// a drop decision postponed while the copy was live, or a tied-mode
 		// revocation that left the copy as the sole attempt. Callers settle
-		// the copy's own bookkeeping (copyLive, HedgesCancelled, OnHedgeCancel)
+		// the copy's own bookkeeping (copyLive, HedgesCancelled, hedge-cancel)
 		// before calling.
 		copyGone = func(rid int, now core.Time) {
 			if hd.priDropped[rid] {
@@ -989,8 +985,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				hd.copyLive[rid] = false
 			}
 			metrics.HedgesCancelled++
-			if hd.ho != nil {
-				hd.ho.OnHedgeCancel(rid, cs, now, started)
+			if probe != nil {
+				probe.OnEvent(obs.Event{Kind: obs.HedgeCancel, T: now, Task: rid, Server: cs, Started: started})
 			}
 		}
 		// hedgeIssue dispatches a speculative copy of task id to the best
@@ -1101,8 +1097,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			hd.copySrv[id] = j
 			hd.copyAt[id] = now
 			metrics.HedgesIssued++
-			if hd.ho != nil {
-				hd.ho.OnHedge(id, pj, j, now, start, end)
+			if probe != nil {
+				probe.OnEvent(obs.Event{Kind: obs.Hedge, T: now, Task: id, Server: j, Start: start, End: end, From: pj})
 			}
 			return nil
 		}
@@ -1132,8 +1128,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				if a.cancelAttempt(inst, slow, cid, cs, when, hd.cfg.CancelRunning) {
 					hd.copyLive[id] = false
 					metrics.HedgesRevoked++
-					if hd.ho != nil {
-						hd.ho.OnHedgeCancel(id, cs, when, started)
+					if probe != nil {
+						probe.OnEvent(obs.Event{Kind: obs.HedgeCancel, T: when, Task: id, Server: cs, Started: started})
 					}
 				}
 				return
@@ -1155,8 +1151,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					rs.probe[id] = false
 					events.Push(when, faultEvent{kind: evBreaker, server: pj})
 				}
-				if hd.ho != nil {
-					hd.ho.OnHedgeCancel(id, pj, when, started)
+				if probe != nil {
+					probe.OnEvent(obs.Event{Kind: obs.HedgeCancel, T: when, Task: id, Server: pj, Started: started})
 				}
 			}
 		}
@@ -1173,7 +1169,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		st.QueueLen[j] -= lost
 		st.Completion[j] = now
 		if probe != nil {
-			probe.OnFailover(j, now, lost)
+			probe.OnEvent(obs.Event{Kind: obs.Failover, T: now, Server: j, Lost: lost})
 		}
 		for id := head; id >= 0; {
 			nxt := fq.next[id] // before requeue: a re-dispatch relinks id
@@ -1191,10 +1187,10 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					_, openedNow := rs.brk.ObserveProbe(j, true, now)
 					rs.probe[id] = false
 					if openedNow {
-						rs.opened(j, now, metrics, events)
+						rs.opened(j, now, metrics, events, probe)
 					}
 				} else if rs.brk.Observe(j, true, now) {
-					rs.opened(j, now, metrics, events)
+					rs.opened(j, now, metrics, events, probe)
 				}
 			}
 			if hd != nil {
@@ -1207,8 +1203,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					hd.copyLive[rid] = false
 					if !hd.done[rid] {
 						metrics.HedgesCancelled++
-						if hd.ho != nil {
-							hd.ho.OnHedgeCancel(rid, j, now, curStart[id] < now)
+						if probe != nil {
+							probe.OnEvent(obs.Event{Kind: obs.HedgeCancel, T: now, Task: rid, Server: j, Started: curStart[id] < now})
 						}
 						copyGone(rid, now)
 					}
@@ -1323,8 +1319,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			metrics.ScaleUps++
 			metrics.WarmUpTime += el.cfg.WarmUp
 			events.Push(ready, faultEvent{kind: evJoin, server: slot})
-			if el.mo != nil {
-				el.mo.OnScaleUp(slot, now, ready)
+			if probe != nil {
+				probe.OnEvent(obs.Event{Kind: obs.ScaleUp, T: now, Server: slot, Ready: ready})
 			}
 		}
 	}
@@ -1339,8 +1335,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		el.active[j] = true
 		el.members++
 		el.ms.Changes = append(el.ms.Changes, elastic.Change{At: now, Machine: j, Join: true, Members: el.members})
-		if el.mo != nil {
-			el.mo.OnJoin(j, now, el.members)
+		if probe != nil {
+			probe.OnEvent(obs.Event{Kind: obs.Join, T: now, Server: j, Members: el.members})
 		}
 		return wakeAll(now)
 	}
@@ -1390,8 +1386,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			el.members--
 			metrics.ScaleDowns++
 			el.ms.Changes = append(el.ms.Changes, elastic.Change{At: now, Machine: victim, Join: false, Members: el.members})
-			if el.mo != nil {
-				el.mo.OnScaleDown(victim, now, el.members, handed)
+			if probe != nil {
+				probe.OnEvent(obs.Event{Kind: obs.ScaleDown, T: now, Server: victim, Members: el.members, Handoffs: handed})
 			}
 			for id := movedHead; id >= 0; {
 				nxt := fq.next[id] // before dispatch: a re-queue relinks id
@@ -1414,8 +1410,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 						metrics.CancelledWork += busyAdd[id]
 						if !hd.done[rid] {
 							metrics.HedgesCancelled++
-							if hd.ho != nil {
-								hd.ho.OnHedgeCancel(rid, victim, now, false)
+							if probe != nil {
+								probe.OnEvent(obs.Event{Kind: obs.HedgeCancel, T: now, Task: rid, Server: victim})
 							}
 							copyGone(rid, now)
 						}
@@ -1431,8 +1427,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					hd.priIn[id] = false
 				}
 				metrics.Handoffs++
-				if el.mo != nil {
-					el.mo.OnHandoff(id, victim, now)
+				if probe != nil {
+					probe.OnEvent(obs.Event{Kind: obs.Handoff, T: now, Task: id, Server: victim})
 				}
 				if err := dispatch(id, now); err != nil {
 					return err
@@ -1515,8 +1511,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				metrics.CancelledWork += busyAdd[c.ID]
 				if !hd.done[rid] {
 					metrics.HedgesCancelled++
-					if hd.ho != nil {
-						hd.ho.OnHedgeCancel(rid, j, now, false)
+					if probe != nil {
+						probe.OnEvent(obs.Event{Kind: obs.HedgeCancel, T: now, Task: rid, Server: j})
 					}
 					copyGone(rid, now)
 				}
@@ -1589,8 +1585,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				if b {
 					metrics.Brownouts++
 				}
-				if ov.op != nil {
-					ov.op.OnBrownout(task.Release, b)
+				if probe != nil {
+					probe.OnEvent(obs.Event{Kind: obs.Brownout, T: task.Release, Active: b})
 				}
 			}
 		}
@@ -1691,7 +1687,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			}
 		}
 		if probe != nil {
-			probe.OnArrival(next, task.Release)
+			probe.OnEvent(obs.Event{Kind: obs.Arrival, T: task.Release, Task: next})
 		}
 		if el != nil && el.ctrl != nil {
 			if err := elArrive(task); err != nil {
@@ -1795,7 +1791,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		metrics.BreakerSpans = rs.spans
 	}
 	if probe != nil {
-		probe.OnDone(metrics.Makespan)
+		probe.OnEvent(obs.Event{Kind: obs.Done, T: metrics.Makespan})
 	}
 	return sched, metrics, nil
 }

@@ -256,9 +256,10 @@ func (a *Arena) RunFaultyProbed(inst *core.Instance, router Router, plan *faults
 // RunFaultyProbed is RunFaulty with an observability probe attached. Unlike
 // the fault-free simulator, completions are reported only when they become
 // final (crash-invalidated attempts never complete), in time order; crashes
-// surface as OnFailover followed by OnRetry/OnDrop for each lost request.
-// A nil probe is exactly RunFaulty — every hook sits behind a nil guard, so
-// the unobserved path allocates nothing extra (TestProbeNilRunFaultyAllocs).
+// surface as a failover event followed by retry or drop for each lost
+// request. A nil probe is exactly RunFaulty — every emission sits behind a
+// nil guard, so the unobserved path allocates nothing extra
+// (TestProbeNilRunFaultyAllocs).
 //
 // Both RunFaulty wrappers delegate to RunGuarded (guardsim.go) with a nil
 // overload config: the engine lives there and the disabled-config path is

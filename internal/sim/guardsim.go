@@ -129,13 +129,12 @@ func (m *OverloadMetrics) Reasons() []string {
 }
 
 // ovRun is the engine-side runtime of an overload config: the live view
-// handed to admission policies, the cached Budgeted bound, the optional
-// observer side of the probe, and scratch space for shedding. It exists
-// only when a config is present, so the disabled path allocates nothing.
+// handed to admission policies, the cached Budgeted bound and scratch
+// space for shedding. It exists only when a config is present, so the
+// disabled path allocates nothing.
 type ovRun struct {
 	cfg        *overload.Config
 	view       overload.View
-	op         obs.OverloadObserver
 	budget     core.Time
 	brown      bool
 	cands      []overload.Candidate

@@ -22,7 +22,6 @@ import (
 // bookkeeping (flows, schedule, dispositions) stays indexed by the real id.
 type hdRun struct {
 	cfg        *hedge.Config
-	ho         obs.HedgeObserver
 	hist       *obs.Histogram // live flow-time stream for the quantile trigger
 	minSamples int
 	maxEnd     core.Time // latest effective completion: the hedged run's makespan

@@ -14,36 +14,22 @@ import (
 )
 
 // hedgeCountProbe counts effective completions per task (the
-// exactly-one-effective-completion invariant) and the hedge event stream.
+// exactly-one-effective-completion invariant) and, through the embedded
+// counters, the hedge event stream.
 type hedgeCountProbe struct {
-	obs.BaseProbe
-	obs.BaseHedgeObserver
+	obs.Counters
 	completions []int
-	hedges      int
-	wins        int
-	winsByCopy  int
-	cancels     int
 }
 
 func newHedgeCountProbe(n int) *hedgeCountProbe {
 	return &hedgeCountProbe{completions: make([]int, n)}
 }
 
-func (p *hedgeCountProbe) OnComplete(task, server int, release, proc, end core.Time) {
-	p.completions[task]++
-}
-
-func (p *hedgeCountProbe) OnHedge(task, from, to int, at, start, end core.Time) { p.hedges++ }
-
-func (p *hedgeCountProbe) OnHedgeWin(task, server int, byCopy bool, at core.Time) {
-	p.wins++
-	if byCopy {
-		p.winsByCopy++
+func (p *hedgeCountProbe) OnEvent(ev obs.Event) {
+	p.Counters.OnEvent(ev)
+	if ev.Kind == obs.Complete {
+		p.completions[ev.Task]++
 	}
-}
-
-func (p *hedgeCountProbe) OnHedgeCancel(task, server int, at core.Time, started bool) {
-	p.cancels++
 }
 
 // checkHedgeResolution asserts the hedge ledger: every issued copy resolved
@@ -55,14 +41,14 @@ func checkHedgeResolution(t *testing.T, inst *core.Instance, em *ElasticMetrics,
 		t.Fatalf("hedge resolution leak: issued %d, wins(copy) %d + cancelled %d + revoked %d = %d",
 			em.HedgesIssued, em.HedgeWinsCopy, em.HedgesCancelled, em.HedgesRevoked, got)
 	}
-	if p.hedges != em.HedgesIssued {
-		t.Fatalf("probe saw %d OnHedge, metrics counted %d issued", p.hedges, em.HedgesIssued)
+	if hedges := int(p.Count(obs.Hedge)); hedges != em.HedgesIssued {
+		t.Fatalf("probe saw %d hedge events, metrics counted %d issued", hedges, em.HedgesIssued)
 	}
-	if p.winsByCopy != em.HedgeWinsCopy {
-		t.Fatalf("probe saw %d copy wins, metrics counted %d", p.winsByCopy, em.HedgeWinsCopy)
+	if int(p.HedgeCopyWins) != em.HedgeWinsCopy {
+		t.Fatalf("probe saw %d copy wins, metrics counted %d", p.HedgeCopyWins, em.HedgeWinsCopy)
 	}
-	if p.wins != em.HedgeWinsCopy+em.HedgeWinsPrimary {
-		t.Fatalf("probe saw %d OnHedgeWin, metrics counted %d", p.wins, em.HedgeWinsCopy+em.HedgeWinsPrimary)
+	if wins := int(p.Count(obs.HedgeWin)); wins != em.HedgeWinsCopy+em.HedgeWinsPrimary {
+		t.Fatalf("probe saw %d hedge-win events, metrics counted %d", wins, em.HedgeWinsCopy+em.HedgeWinsPrimary)
 	}
 	for i, c := range p.completions {
 		if c > 1 {
@@ -195,12 +181,12 @@ func TestRunHedgedGrayCopyWins(t *testing.T) {
 		}
 		// The cancelled attempt is the primary, not an issued copy, so
 		// HedgesCancelled stays 0 — the copy resolved as the win. The
-		// primary's cancellation surfaces through OnHedgeCancel.
+		// primary's cancellation surfaces as a hedge-cancel event.
 		if em.HedgesIssued != 1 || em.HedgeWinsCopy != 1 || em.HedgesCancelled != 0 {
 			t.Fatalf("cancel=%v: counters issued=%d winsCopy=%d cancelled=%d", cancel, em.HedgesIssued, em.HedgeWinsCopy, em.HedgesCancelled)
 		}
-		if p.cancels != 1 {
-			t.Fatalf("cancel=%v: %d OnHedgeCancel events, want 1 (the losing primary)", cancel, p.cancels)
+		if n := p.Count(obs.HedgeCancel); n != 1 {
+			t.Fatalf("cancel=%v: %d hedge-cancel events, want 1 (the losing primary)", cancel, n)
 		}
 		if cancel {
 			// Primary cancelled mid-service at t=12: 12 units burned, the

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"flowsched/internal/core"
 	"flowsched/internal/faults"
 	"flowsched/internal/obs"
+	"flowsched/internal/overload"
 	"flowsched/internal/trace"
 )
 
@@ -65,7 +67,7 @@ func TestProbedRunEquivalence(t *testing.T) {
 				sameSchedule(t, router.Name(), sPlain, sProbed)
 				sameMetrics(t, router.Name(), mPlain, mProbed)
 				n := int64(inst.N())
-				if counters.Arrivals != n || counters.Dispatches != n || counters.Completions != n {
+				if counters.Count(obs.Arrival) != n || counters.Count(obs.Dispatch) != n || counters.Count(obs.Complete) != n {
 					t.Fatalf("%s: counters %+v, want %d arrivals = dispatches = completions", router.Name(), counters, n)
 				}
 				if hist.Flow.Count() != inst.N() || hist.Flow.Max() != mPlain.MaxFlow() {
@@ -112,20 +114,20 @@ func TestProbedRunFaultyEquivalence(t *testing.T) {
 		// Conservation: every request either completes or is dropped; every
 		// dispatch beyond the first per request was preceded by a retry.
 		n := int64(inst.N())
-		if counters.Arrivals != n {
-			t.Errorf("arrivals %d, want %d", counters.Arrivals, n)
+		if counters.Count(obs.Arrival) != n {
+			t.Errorf("arrivals %d, want %d", counters.Count(obs.Arrival), n)
 		}
-		if counters.Completions+counters.Drops != n {
-			t.Errorf("completions %d + drops %d != %d requests", counters.Completions, counters.Drops, n)
+		if counters.Count(obs.Complete)+counters.Count(obs.Drop) != n {
+			t.Errorf("completions %d + drops %d != %d requests", counters.Count(obs.Complete), counters.Count(obs.Drop), n)
 		}
-		if counters.Drops != int64(mPlain.DroppedCount()) {
-			t.Errorf("drops %d, metrics say %d", counters.Drops, mPlain.DroppedCount())
+		if counters.Count(obs.Drop) != int64(mPlain.DroppedCount()) {
+			t.Errorf("drops %d, metrics say %d", counters.Count(obs.Drop), mPlain.DroppedCount())
 		}
-		if counters.Dispatches < counters.Completions {
-			t.Errorf("dispatches %d < completions %d", counters.Dispatches, counters.Completions)
+		if counters.Count(obs.Dispatch) < counters.Count(obs.Complete) {
+			t.Errorf("dispatches %d < completions %d", counters.Count(obs.Dispatch), counters.Count(obs.Complete))
 		}
-		if hist.Flow.Count() != int(counters.Completions) {
-			t.Errorf("flow histogram count %d, want one entry per completion %d", hist.Flow.Count(), counters.Completions)
+		if hist.Flow.Count() != int(counters.Count(obs.Complete)) {
+			t.Errorf("flow histogram count %d, want one entry per completion %d", hist.Flow.Count(), counters.Count(obs.Complete))
 		}
 		if len(sampler.Samples()) == 0 {
 			t.Error("sampler recorded nothing")
@@ -151,7 +153,7 @@ func TestProbeNilRunAllocs(t *testing.T) {
 			}
 		})
 		if avg > 64 {
-			t.Errorf("%v allocs per nil-probe run of %d tasks: the probe hooks leak onto the hot path", avg, inst.N())
+			t.Errorf("%v allocs per nil-probe run of %d tasks: probe emission leaks onto the hot path", avg, inst.N())
 		}
 	}
 }
@@ -255,6 +257,108 @@ func TestJSONLReplayMatchesTrace(t *testing.T) {
 				t.Fatalf("seed %d: replayed trace invalid: %v", seed, err)
 			}
 		}
+	}
+}
+
+// TestReplayTraceGuardedLog: a guarded run's JSONL log carries reject and
+// shed lines next to the schedule's events; ReplayTrace accepts them and
+// reconstructs exactly the arrival, start and completion of every task the
+// metrics mark completed, as a valid trace.
+func TestReplayTraceGuardedLog(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(500 + seed))
+		inst := overloadedInstance(6, 1500, 1.2, rng)
+		horizon := inst.Tasks[inst.N()-1].Release
+		plan := faults.Generate(6, horizon, 60, 6, rng)
+		cfg := &overload.Config{Admission: overload.DeadlineAdmit{D: 6}}
+		pol := RetryPolicy{MaxAttempts: 4, Backoff: 0.5, BackoffFactor: 2}
+		var buf bytes.Buffer
+		sink := obs.NewJSONLSink(&buf)
+		sched, om, err := RunGuarded(inst, EFTRouter{}, plan, pol, cfg, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Err(); err != nil {
+			t.Fatal(err)
+		}
+		log := buf.String()
+		if om.RejectedCount() == 0 || om.ShedCount() == 0 ||
+			!strings.Contains(log, `"ev":"reject"`) || !strings.Contains(log, `"ev":"shed"`) {
+			t.Fatalf("seed %d: want rejects and sheds in the log (metrics: %d rejected, %d shed)",
+				seed, om.RejectedCount(), om.ShedCount())
+		}
+		replayed, err := obs.ReplayTrace(strings.NewReader(log))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var want []trace.Event
+		completed := 0
+		for i, task := range inst.Tasks {
+			if om.Rejected[i] || om.Shed[i] || om.Dropped[i] {
+				continue
+			}
+			completed++
+			want = append(want,
+				trace.Event{Time: task.Release, Kind: trace.Arrival, Task: i, Machine: -1},
+				trace.Event{Time: sched.Start[i], Kind: trace.Start, Task: i, Machine: sched.Machine[i]},
+				trace.Event{Time: sched.Completion(i), Kind: trace.Completion, Task: i, Machine: sched.Machine[i]},
+			)
+		}
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].Time != want[b].Time {
+				return want[a].Time < want[b].Time
+			}
+			if want[a].Kind != want[b].Kind {
+				return want[a].Kind < want[b].Kind
+			}
+			return want[a].Task < want[b].Task
+		})
+		if !reflect.DeepEqual(replayed, want) {
+			for i := range want {
+				if i >= len(replayed) || replayed[i] != want[i] {
+					t.Fatalf("seed %d: replayed trace diverges at event %d (%d vs %d events): %+v vs %+v",
+						seed, i, len(replayed), len(want), replayed[i], want[i])
+				}
+			}
+			t.Fatalf("seed %d: replayed %d events, want %d", seed, len(replayed), len(want))
+		}
+		if err := trace.Validate(replayed, completed); err != nil {
+			t.Fatalf("seed %d: replayed trace invalid: %v", seed, err)
+		}
+	}
+}
+
+// TestReplayTraceRetimedStarts: a watermark shed re-times the queue behind
+// it without an event, so the replay takes a moved completion's start as
+// end − proc — the schedule's start up to rounding — and the trace stays
+// valid.
+func TestReplayTraceRetimedStarts(t *testing.T) {
+	inst := overloadedInstance(6, 1500, 1.4, rand.New(rand.NewSource(500)))
+	cfg := &overload.Config{Shedder: &overload.Shedder{Policy: overload.DropLargestStretch, Watermark: 5}}
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	sched, om, err := RunGuarded(inst, EFTRouter{}, nil, RetryPolicy{}, cfg, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := obs.ReplayTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := inst.N() - om.ShedCount()
+	if om.ShedCount() == 0 || len(replayed) != 3*completed {
+		t.Fatalf("%d shed, %d replayed events for %d completed tasks", om.ShedCount(), len(replayed), completed)
+	}
+	for _, e := range replayed {
+		if e.Kind == trace.Start && math.Abs(e.Time-sched.Start[e.Task]) > 1e-9*(1+math.Abs(e.Time)) {
+			t.Fatalf("task %d replayed start %v, schedule says %v", e.Task, e.Time, sched.Start[e.Task])
+		}
+	}
+	if err := trace.Validate(replayed, completed); err != nil {
+		t.Fatalf("replayed trace invalid: %v", err)
 	}
 }
 

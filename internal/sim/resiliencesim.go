@@ -19,7 +19,6 @@ import (
 // disabled path touches none of it and stays byte-identical to RunHedged.
 type rsRun struct {
 	cfg *resilience.Config
-	ro  obs.ResilienceObserver
 
 	budget   resilience.Budget
 	budgetOn bool
@@ -36,8 +35,8 @@ type rsRun struct {
 
 // opened books a breaker open episode at now: it ends the previous span
 // (a probe-failure re-open), starts a new one, arms the cooldown-expiry
-// event and notifies the observer.
-func (rs *rsRun) opened(j int, now core.Time, metrics *ElasticMetrics, events *eventq.Queue[faultEvent]) {
+// event and notifies the probe.
+func (rs *rsRun) opened(j int, now core.Time, metrics *ElasticMetrics, events *eventq.Queue[faultEvent], probe obs.Probe) {
 	rs.endSpan(j, now, false)
 	metrics.BreakerOpens++
 	rs.spans = append(rs.spans, resilience.Span{
@@ -48,8 +47,8 @@ func (rs *rsRun) opened(j int, now core.Time, metrics *ElasticMetrics, events *e
 	})
 	rs.curSpan[j] = len(rs.spans)
 	events.Push(rs.brk.OpenUntil(j), faultEvent{kind: evBreaker, server: j})
-	if rs.ro != nil {
-		rs.ro.OnBreakerOpen(j, now)
+	if probe != nil {
+		probe.OnEvent(obs.Event{Kind: obs.BreakerOpen, T: now, Server: j})
 	}
 }
 
@@ -62,12 +61,12 @@ func (rs *rsRun) halfOpened(j int, now core.Time) {
 
 // closed books a probe-success close at now and queues a same-instant
 // breaker event so parked work wakes onto the readmitted server.
-func (rs *rsRun) closed(j int, now core.Time, metrics *ElasticMetrics, events *eventq.Queue[faultEvent]) {
+func (rs *rsRun) closed(j int, now core.Time, metrics *ElasticMetrics, events *eventq.Queue[faultEvent], probe obs.Probe) {
 	metrics.BreakerCloses++
 	rs.endSpan(j, now, true)
 	events.Push(now, faultEvent{kind: evBreaker, server: j})
-	if rs.ro != nil {
-		rs.ro.OnBreakerClose(j, now)
+	if probe != nil {
+		probe.OnEvent(obs.Event{Kind: obs.BreakerClose, T: now, Server: j})
 	}
 }
 

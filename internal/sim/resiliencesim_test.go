@@ -10,6 +10,8 @@ import (
 	"flowsched/internal/elastic"
 	"flowsched/internal/faults"
 	"flowsched/internal/hedge"
+	"flowsched/internal/obs"
+	"flowsched/internal/overload"
 	"flowsched/internal/resilience"
 )
 
@@ -104,7 +106,7 @@ func TestRetryPolicyValidate(t *testing.T) {
 	valid := []RetryPolicy{
 		{},
 		{MaxAttempts: 3, Backoff: 1, BackoffFactor: 2, Timeout: 50},
-		{Backoff: 0.5},                  // constant backoff, factor 0
+		{Backoff: 0.5},                   // constant backoff, factor 0
 		{Backoff: 0.5, BackoffFactor: 1}, // constant backoff, factor 1
 	}
 	for _, p := range valid {
@@ -343,5 +345,57 @@ func TestBreakerProbeRacingScaleDownDrain(t *testing.T) {
 	if em.RetriesRequested != em.RetriesIssued || em.RetriesDropped != 0 {
 		t.Fatalf("unbudgeted run mutated the budget ledger: %d/%d/%d",
 			em.RetriesRequested, em.RetriesIssued, em.RetriesDropped)
+	}
+}
+
+// TestRunResilientProbedAllocs pins the steady-arena allocation count of a
+// full-stack run — every control on, under a gray fault and a zone crash —
+// with an obs.Counters probe attached. Events travel to the probe by value,
+// so attaching it must cost no allocation over the nil-probe run.
+func TestRunResilientProbedAllocs(t *testing.T) {
+	const m = 15
+	inst := allocInstance(2000, 0.8)
+	horizon := float64(inst.Tasks[inst.N()-1].Release)
+	plan := faults.Empty(m)
+	for j := 0; j < m; j += 3 {
+		plan.Slow(j, 10, 1e9, 4)
+	}
+	for j := 6; j <= 8; j++ {
+		plan.Down(j, core.Time(0.45*horizon), core.Time(0.45*horizon+10))
+	}
+	pol := RetryPolicy{Backoff: 1, BackoffFactor: 2}
+	ocfg := &overload.Config{Admission: overload.QueueBound{MaxQueue: 20}}
+	ecfg := &elastic.Config{Min: 3, WarmUp: 1, Script: []elastic.Event{
+		{At: core.Time(0.3 * horizon), Delta: -3},
+		{At: core.Time(0.6 * horizon), Delta: 3},
+	}}
+	hcfg := &hedge.Config{Delay: 5, CancelRunning: true}
+	rcfg := &resilience.Config{
+		Jitter: resilience.JitterFull, Seed: 1, RetryBudget: 0.1,
+		Breaker: &resilience.BreakerConfig{Window: 20, FailureThreshold: 0.5, Cooldown: 10, SlowFactor: 3},
+	}
+	arena := NewArena()
+	counters := &obs.Counters{}
+	run := func(probe obs.Probe) func() {
+		return func() {
+			if _, _, err := arena.RunResilient(inst, EFTRouter{}, plan, pol, ocfg, ecfg, hcfg, rcfg, probe); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(counters)() // warm: the first run sizes every buffer
+	probed := testing.AllocsPerRun(5, run(counters))
+	bare := testing.AllocsPerRun(5, run(nil))
+	// The steady-arena count of this run, with or without the probe.
+	const ceiling = 520
+	if probed > ceiling {
+		t.Errorf("full-stack run with counters allocated %v times; ceiling %v", probed, ceiling)
+	}
+	if probed > bare {
+		t.Errorf("attaching counters costs allocations: %v per run vs %v without a probe", probed, bare)
+	}
+	if counters.Count(obs.Arrival) == 0 || counters.Count(obs.Hedge) == 0 || counters.Count(obs.BreakerOpen) == 0 {
+		t.Errorf("full stack left a control idle: %d arrivals, %d hedges, %d breaker opens",
+			counters.Count(obs.Arrival), counters.Count(obs.Hedge), counters.Count(obs.BreakerOpen))
 	}
 }

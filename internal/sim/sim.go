@@ -138,10 +138,10 @@ func Run(inst *core.Instance, router Router) (*core.Schedule, *Metrics, error) {
 }
 
 // RunProbed is Run with an observability probe attached: the probe receives
-// OnArrival/OnDispatch/OnComplete for every request plus a final OnDone
+// arrival, dispatch and complete events for every request plus a final done
 // (see obs.Probe for the event-time contract — completions are reported
 // eagerly at dispatch, where they become final in the fault-free model).
-// A nil probe is exactly Run: every hook sits behind a nil guard, so the
+// A nil probe is exactly Run: every emission sits behind a nil guard, so the
 // unobserved hot path stays allocation-free (TestProbeNilRunAllocs, the
 // ProbeOverheadSim benchreg pair).
 func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Schedule, *Metrics, error) {
@@ -189,7 +189,7 @@ func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Sched
 		st.Now = task.Release
 		drain(st.Now)
 		if probe != nil {
-			probe.OnArrival(i, task.Release)
+			probe.OnEvent(obs.Event{Kind: obs.Arrival, T: task.Release, Task: i})
 		}
 		j := router.Pick(st, task)
 		if j < 0 || j >= m || !task.Eligible(j) {
@@ -215,13 +215,13 @@ func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Sched
 			metrics.Makespan = end
 		}
 		if probe != nil {
-			probe.OnDispatch(i, j, task.Release, start, end)
-			probe.OnComplete(i, j, task.Release, task.Proc, end)
+			probe.OnEvent(obs.Event{Kind: obs.Dispatch, T: task.Release, Task: i, Server: j, Start: start, End: end})
+			probe.OnEvent(obs.Event{Kind: obs.Complete, T: end, Task: i, Server: j, Release: task.Release, Proc: task.Proc})
 		}
 	}
 	drain(metrics.Makespan)
 	if probe != nil {
-		probe.OnDone(metrics.Makespan)
+		probe.OnEvent(obs.Event{Kind: obs.Done, T: metrics.Makespan})
 	}
 	return sched, metrics, nil
 }
@@ -265,13 +265,13 @@ func unrestricted(inst *core.Instance) bool {
 // runEFTMinFast is the O(n log m) dispatch loop for full-set instances under
 // EFT-Min. Queue lengths are irrelevant (EFT never reads them), so the
 // completion event queue is skipped entirely; the schedule and metrics are
-// byte-identical to the generic loop's. Probe hooks fire exactly as in the
+// byte-identical to the generic loop's. Probe events fire exactly as in the
 // generic loop, behind the same nil guard.
 func runEFTMinFast(inst *core.Instance, sched *core.Schedule, metrics *Metrics, probe obs.Probe) {
 	picker := eventq.NewEFTMinPicker(inst.M)
 	for i, task := range inst.Tasks {
 		if probe != nil {
-			probe.OnArrival(i, task.Release)
+			probe.OnEvent(obs.Event{Kind: obs.Arrival, T: task.Release, Task: i})
 		}
 		j, start := picker.Dispatch(task.Release, task.Proc)
 		end := start + task.Proc
@@ -283,11 +283,11 @@ func runEFTMinFast(inst *core.Instance, sched *core.Schedule, metrics *Metrics, 
 			metrics.Makespan = end
 		}
 		if probe != nil {
-			probe.OnDispatch(i, j, task.Release, start, end)
-			probe.OnComplete(i, j, task.Release, task.Proc, end)
+			probe.OnEvent(obs.Event{Kind: obs.Dispatch, T: task.Release, Task: i, Server: j, Start: start, End: end})
+			probe.OnEvent(obs.Event{Kind: obs.Complete, T: end, Task: i, Server: j, Release: task.Release, Proc: task.Proc})
 		}
 	}
 	if probe != nil {
-		probe.OnDone(metrics.Makespan)
+		probe.OnEvent(obs.Event{Kind: obs.Done, T: metrics.Makespan})
 	}
 }

@@ -45,7 +45,7 @@ func outcomeColor(o obs.AttemptOutcome) string {
 // titles carry the numbers (flow, retries, per-attempt intervals).
 func TraceTimelineSVG(w io.Writer, traces []*obs.TaskTrace, makespan core.Time, title string) error {
 	if len(traces) == 0 {
-		return fmt.Errorf("viz: no traces to plot (did the run call OnDone, and did retention keep any?)")
+		return fmt.Errorf("viz: no traces to plot (did the run emit its done event, and did retention keep any?)")
 	}
 	const (
 		rowH   = 20

@@ -16,7 +16,7 @@ import (
 // paper's Section 6.
 func TimeSeriesSVG(w io.Writer, samples []obs.Sample, title string) error {
 	if len(samples) == 0 {
-		return fmt.Errorf("viz: no samples to plot (did the run call OnDone?)")
+		return fmt.Errorf("viz: no samples to plot (did the run emit its done event?)")
 	}
 	const (
 		left   = 56

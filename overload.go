@@ -5,7 +5,6 @@ package flowsched
 // ejection and the SLO guard / capacity estimator built on LP (15).
 
 import (
-	"flowsched/internal/obs"
 	"flowsched/internal/overload"
 	"flowsched/internal/replicate"
 	"flowsched/internal/sim"
@@ -40,9 +39,6 @@ type (
 	// dispositions by reason, ejector activity and the conditional
 	// Fmax/stretch of admitted tasks.
 	OverloadMetrics = sim.OverloadMetrics
-	// OverloadObserver is the optional probe extension receiving the
-	// overload event stream (rejections, sheds, ejections, brownouts).
-	OverloadObserver = obs.OverloadObserver
 )
 
 // Shedding victim orders.
@@ -99,8 +95,8 @@ func ValidateReplication(s ReplicationStrategy, m int) error {
 // times bounded past the capacity λ*, outlier ejection routes around
 // gray-slowed servers, and the SLO guard tracks offered load vs capacity. A
 // nil cfg reproduces SimulateFaulty bit for bit; a nil plan means fault-free.
-// probe may be nil, a Probe, or one that additionally implements
-// OverloadObserver to receive the overload event stream.
+// probe may be nil; otherwise it additionally receives the reject, shed,
+// eject, readmit and brownout events.
 func SimulateGuarded(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy, cfg *OverloadConfig, probe Probe) (*Schedule, *OverloadMetrics, error) {
 	return sim.RunGuarded(inst, router, plan, policy, cfg, probe)
 }

@@ -6,7 +6,6 @@ package flowsched
 // turning into a metastable retry storm.
 
 import (
-	"flowsched/internal/obs"
 	"flowsched/internal/resilience"
 	"flowsched/internal/sim"
 )
@@ -33,10 +32,6 @@ type (
 	// BreakerSpan records one breaker open episode (open, half-open,
 	// close) in ElasticMetrics.BreakerSpans.
 	BreakerSpan = resilience.Span
-	// ResilienceObserver is the optional probe extension receiving the
-	// resilience event stream (breaker opens/probes/closes, retry budget
-	// drops).
-	ResilienceObserver = obs.ResilienceObserver
 )
 
 // Jitter modes for ResilienceConfig.Jitter: none keeps the deterministic
@@ -61,8 +56,9 @@ const (
 // only servers sit behind open breakers park and wake on the breaker's
 // state transitions, never spinning.
 //
-// A nil rcfg reproduces SimulateHedged bit for bit; probe may additionally
-// implement ResilienceObserver to receive the resilience event stream.
+// A nil rcfg reproduces SimulateHedged bit for bit; the probe additionally
+// receives the breaker-open, breaker-close, breaker-probe and
+// retry-budget-drop events.
 func SimulateResilient(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy, cfg *OverloadConfig, ecfg *ElasticConfig, hcfg *HedgeConfig, rcfg *ResilienceConfig, probe Probe) (*Schedule, *ElasticMetrics, error) {
 	return sim.RunResilient(inst, router, plan, policy, cfg, ecfg, hcfg, rcfg, probe)
 }

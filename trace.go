@@ -50,11 +50,14 @@ func WriteHeatmapSVG(w io.Writer, rows, cols []string, values [][]float64, lo, h
 // In-flight observability (internal/obs): probes that watch a simulation
 // while it runs, instead of post-processing the finished schedule.
 type (
-	// Probe observes a simulation run in flight; see internal/obs.Probe
-	// for the hook set and event-time contract.
+	// Probe observes a simulation run in flight through its one method,
+	// OnEvent; see internal/obs.Probe for the event-time contract.
 	Probe = obs.Probe
-	// BaseProbe is a no-op Probe for embedding in custom probes.
-	BaseProbe = obs.BaseProbe
+	// Event is one engine event: its kind, its instant T and the fields
+	// the kind carries (see the Event* kind constants).
+	Event = obs.Event
+	// EventKind names an event; String returns its JSON name.
+	EventKind = obs.Kind
 	// Histogram is a streaming log-bucketed distribution with bounded
 	// memory and quantile queries (max relative error √growth − 1).
 	Histogram = obs.Histogram
@@ -73,6 +76,34 @@ type (
 	ProbeCounters = obs.Counters
 )
 
+// The event kinds a Probe receives; internal/obs documents the fields each
+// carries.
+const (
+	EventArrival         = obs.Arrival
+	EventDispatch        = obs.Dispatch
+	EventComplete        = obs.Complete
+	EventRetry           = obs.Retry
+	EventDrop            = obs.Drop
+	EventFailover        = obs.Failover
+	EventDone            = obs.Done
+	EventReject          = obs.Reject
+	EventShed            = obs.Shed
+	EventEject           = obs.Eject
+	EventReadmit         = obs.Readmit
+	EventBrownout        = obs.Brownout
+	EventScaleUp         = obs.ScaleUp
+	EventJoin            = obs.Join
+	EventScaleDown       = obs.ScaleDown
+	EventHandoff         = obs.Handoff
+	EventHedge           = obs.Hedge
+	EventHedgeWin        = obs.HedgeWin
+	EventHedgeCancel     = obs.HedgeCancel
+	EventBreakerOpen     = obs.BreakerOpen
+	EventBreakerClose    = obs.BreakerClose
+	EventBreakerProbe    = obs.BreakerProbe
+	EventRetryBudgetDrop = obs.RetryBudgetDrop
+)
+
 // NewHistogram returns a streaming histogram with the default bucket scheme
 // (eight buckets per doubling).
 func NewHistogram() *Histogram { return obs.NewHistogram() }
@@ -86,7 +117,7 @@ func NewHistogramProbe() *HistogramProbe { return obs.NewHistogramProbe() }
 func NewTimeSeries(m int, dt Time) (*TimeSeries, error) { return obs.NewSampler(m, dt) }
 
 // NewJSONLSink returns a probe writing one JSON event per line to w
-// (buffered; flushed at OnDone, or call Flush).
+// (buffered; flushed by the done event, or call Flush).
 func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
 
 // ReplayJSONL reconstructs the trace of a run from its JSONL event stream;
@@ -98,14 +129,14 @@ func ReplayJSONL(r io.Reader) ([]TraceEvent, error) { return obs.ReplayTrace(r) 
 func MultiProbe(probes ...Probe) Probe { return obs.Multi(probes...) }
 
 // Observe is Simulate with a probe attached. A nil probe is exactly
-// Simulate: the hooks are nil-guarded, so the unobserved hot path stays
+// Simulate: every emission is nil-guarded, so the unobserved hot path stays
 // allocation-free.
 func Observe(inst *Instance, router Router, probe Probe) (*Schedule, *SimMetrics, error) {
 	return sim.RunProbed(inst, router, probe)
 }
 
 // ObserveFaulty is SimulateFaulty with a probe attached (completions are
-// reported only when final; crashes surface as failover/retry/drop hooks).
+// reported only when final; crashes surface as failover/retry/drop events).
 func ObserveFaulty(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy, probe Probe) (*Schedule, *FaultMetrics, error) {
 	return sim.RunFaultyProbed(inst, router, plan, policy, probe)
 }
@@ -117,7 +148,7 @@ func WriteTimeSeriesSVG(w io.Writer, samples []TimeSeriesSample, title string) e
 }
 
 // Causal span tracing (internal/obs.Tracer): per-task span trees assembled
-// from the probe hooks, bounded-memory tail retention, and a flight recorder
+// from the probe's events, bounded-memory tail retention, and a flight recorder
 // keeping the last raw events of a run.
 type (
 	// Tracer assembles per-task causal traces (queued → attempts → terminal
@@ -136,8 +167,6 @@ type (
 	// the always-on crash recorder behind chaos repro dumps and audit
 	// evidence.
 	FlightRecorder = obs.FlightRecorder
-	// FlightEvent is one raw event held by a FlightRecorder.
-	FlightEvent = obs.FlightEvent
 )
 
 // TraceKeepAll retains every task's trace (memory grows with n).
