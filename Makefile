@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check lint-gofmt lint-determinism test race bench bench-update bench-go chaos chaos-short experiments quick profile fuzz cover clean
+.PHONY: all build check lint-gofmt lint-determinism test race perfbench-test bench bench-update bench-go chaos chaos-short experiments quick profile fuzz cover clean
 
 all: build check
 
@@ -45,6 +45,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-test runs the benchmark harness's own tests.
+# perfbench is a separate module, so `go test ./...` at the root skips it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # bench is the regression gate: it runs the registered suite (cmd/bench,
 # internal/benchreg) and exits non-zero if any benchmark's ns/op regressed
@@ -104,6 +109,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadInstanceJSON -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzReadScheduleJSON -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzReadPlanJSON -fuzztime=30s ./internal/faults/
+	$(GO) test -fuzz=FuzzHeadHeap -fuzztime=30s ./internal/eventq/
 	$(GO) test -fuzz=FuzzGuardedDisposition -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzElasticMembership -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzHedgedDispatch -fuzztime=30s ./internal/sim/

@@ -327,10 +327,9 @@ func benchSimRunHedgedOff(b *testing.B) {
 // hedge with cancel-mid-service races copies onto the healthy replicas —
 // the copy-id bookkeeping, cancellation and duplicate-work accounting all
 // on the hot path. The queue-bound admission mirrors the headline hedge
-// experiment and keeps the cancellation re-time cost bounded: cancelling a
-// queue entry re-times the suffix behind it (DESIGN.md §13), so hedging
-// against unbounded queues scales with their length, not with this
-// machinery.
+// experiment and bounds the cancellation re-time walk: cancelling a queue
+// entry rewrites the times of the suffix behind it (DESIGN.md §13), while
+// the completion event set takes one O(log m) update for that server.
 func benchSimRunHedgedGray(b *testing.B) {
 	inst := restrictedInstance(15, 3, 5000)
 	plan := faults.Empty(15)

@@ -1,7 +1,7 @@
 // Package eventq provides the priority queues used across the simulator and
-// schedulers: a generic min-heap ordered by time with FIFO tie-breaking, and
-// an indexed min-heap over machine completion times supporting decrease/
-// increase-key.
+// schedulers: a generic min-heap ordered by time with FIFO tie-breaking, an
+// indexed min-heap over machine completion times supporting decrease/
+// increase-key, and an indexed min-heap of per-server head completions.
 package eventq
 
 // Item is an element of Queue: a payload scheduled at a time instant.

@@ -75,7 +75,8 @@ type Config struct {
 	CancelRunning bool
 }
 
-// minSamples resolves the quantile warm-up threshold.
+// MinSamplesOrDefault resolves the quantile warm-up threshold: MinSamples
+// when positive, DefaultMinSamples otherwise.
 func (c *Config) MinSamplesOrDefault() int {
 	if c.MinSamples > 0 {
 		return c.MinSamples

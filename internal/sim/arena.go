@@ -11,14 +11,15 @@ import (
 
 // Arena owns every per-run buffer of the unified engine (elasticsim.go): the
 // router-visible State, the schedule's assignment arrays, all metrics slices,
-// the per-task attempt/generation/re-timing state, the per-server FIFOs
-// (fifoQueues — an index-chained freelist, not [][]int), both event queues,
-// the parked-task buffers and the overload/elastic runtime scratch. A fresh
-// run allocates all of this (~2,400 allocations for a 5,000-task instance,
-// almost all of it FIFO append traffic); running through a reused Arena
-// reslices it instead, taking the steady-state cost to a handful of
-// allocations per run (pinned by TestRunFaultyAllocs and friends, gated by
-// the SimRun*Steady benchreg entries).
+// the per-task attempt/sequence/re-timing state, the per-server FIFOs
+// (fifoQueues — an index-chained freelist, not [][]int), the head heap of
+// pending completions, the timer event queue, the parked-task buffers and
+// the overload/elastic runtime scratch. A fresh run allocates all of this
+// (~2,400 allocations for a 5,000-task instance, almost all of it FIFO
+// append traffic); running through a reused Arena reslices it instead,
+// taking the steady-state cost to a handful of allocations per run (pinned
+// by TestRunFaultyAllocs and friends, gated by the SimRun*Steady benchreg
+// entries).
 //
 // Ownership contract: the *core.Schedule and *ElasticMetrics returned by an
 // Arena's Run methods point INTO the arena. They are valid until the arena's
@@ -56,7 +57,8 @@ type Arena struct {
 
 	// Engine state.
 	live     []bool
-	gen      []int
+	seq      []uint64 // attempt → completion sequence number (see stamp)
+	seqN     uint64   // last sequence number drawn this run
 	curStart []core.Time
 	curEnd   []core.Time
 	busyAdd  []core.Time
@@ -64,8 +66,8 @@ type Arena struct {
 	parked   []int // requests waiting for any replica to recover
 	wake     []int // swap buffer for wakeAll / restore
 
-	completions eventq.Queue[compEvent]
-	events      eventq.Queue[faultEvent]
+	heads  eventq.HeadHeap // each non-empty queue's head completion (see rekey)
+	events eventq.Queue[faultEvent]
 
 	liveBuf core.ProcSet // dispatch-time live-subset scratch
 
@@ -115,7 +117,8 @@ func (a *Arena) Reset(n, m int) {
 	for j := 0; j < m; j++ {
 		a.live[j] = true
 	}
-	a.gen = resliceZero(a.gen, n)
+	a.seq = grow(a.seq, n) // stamped before any read
+	a.seqN = 0
 	a.curStart = resliceZero(a.curStart, n)
 	a.curEnd = resliceZero(a.curEnd, n)
 	a.busyAdd = resliceZero(a.busyAdd, n)
@@ -123,7 +126,7 @@ func (a *Arena) Reset(n, m int) {
 	a.parked = a.parked[:0]
 	a.wake = a.wake[:0]
 
-	a.completions.Clear()
+	a.heads.Reset(m)
 	a.events.Clear()
 
 	if cap(a.liveBuf) < m {
@@ -199,8 +202,7 @@ func (f *fifoQueues) popHead(j int) int {
 }
 
 // remove unlinks task id from anywhere in server j's queue, preserving the
-// order of the rest. A task not actually queued on j is a no-op (the
-// defensive mid-queue path of drain).
+// order of the rest. A task not actually queued on j is a no-op.
 func (f *fifoQueues) remove(j, id int) {
 	prev := f.head[j]
 	if prev == id {
@@ -227,4 +229,43 @@ func (f *fifoQueues) takeAll(j int) int {
 	f.head[j] = -1
 	f.tail[j] = -1
 	return h
+}
+
+// stamp draws the next completion sequence number for attempt id, which
+// was just (re-)timed. Completions due at the same instant settle in stamp
+// order, on any server. Within one queue curEnd never decreases and stamps
+// strictly increase front to back, so each queue's head is its earliest
+// completion and the head heap alone orders the whole run.
+func (a *Arena) stamp(id int) {
+	a.seqN++
+	a.seq[id] = a.seqN
+}
+
+// enqueue appends attempt id, timed to run over [start, end), to server
+// j's queue.
+func (a *Arena) enqueue(j, id int, start, end core.Time) {
+	a.fq.push(j, id)
+	a.curStart[id], a.curEnd[id] = start, end
+	a.stamp(id)
+	if a.fq.head[j] == id {
+		a.rekey(j) // the queue was empty: id is its new head
+	}
+}
+
+// rekey refreshes server j's head-heap entry after its queue head changed,
+// was re-timed, or the queue emptied.
+func (a *Arena) rekey(j int) {
+	if h := a.fq.head[j]; h >= 0 {
+		a.heads.Set(j, a.curEnd[h], a.seq[h])
+	} else {
+		a.heads.Remove(j)
+	}
+}
+
+// settleHead removes server j's completing head from its queue and re-keys
+// j on the next head.
+func (a *Arena) settleHead(j int) {
+	a.st.QueueLen[j]--
+	a.fq.popHead(j)
+	a.rekey(j)
 }

@@ -219,10 +219,10 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 	a.Reset(n, m)
 	if hcfg != nil {
 		// Speculative copies are virtual attempts n..2n−1: grow the
-		// attempt-indexed engine state so a copy can occupy a queue and the
-		// completion heap alongside its primary. Everything task-indexed
-		// (flows, schedule, dispositions) stays at n.
-		a.gen = resliceZero(a.gen, 2*n)
+		// attempt-indexed engine state so a copy can occupy a queue
+		// alongside its primary. Everything task-indexed (flows, schedule,
+		// dispositions) stays at n.
+		a.seq = grow(a.seq, 2*n)
 		a.curStart = resliceZero(a.curStart, 2*n)
 		a.curEnd = resliceZero(a.curEnd, 2*n)
 		a.busyAdd = resliceZero(a.busyAdd, 2*n)
@@ -258,14 +258,12 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		slow = plan.ServerSlowdowns()
 	}
 	downCount := 0
-	gen := a.gen           // attempt generation, invalidates stale completions
 	curStart := a.curStart // start of the current attempt
 	curEnd := a.curEnd     // end of the current attempt
 	busyAdd := a.busyAdd   // busy time credited for the current attempt
 	parked := a.parked     // requests waiting for any replica to recover
-	completions := &a.completions
+	heads := &a.heads      // one pending completion per non-empty queue: its head
 	events := &a.events
-	completions.Reserve(reserveFor(n))
 	events.Reserve(2 * len(plan.Outages))
 	for _, o := range plan.Outages {
 		events.Push(o.From, faultEvent{kind: evDown, server: o.Server})
@@ -457,9 +455,12 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		tiedResolve    func(id int, when core.Time)
 	)
 
+	// drain settles completions due at or before upTo, earliest first: the
+	// head heap's minimum is the next one, and it is always its server's
+	// queue head.
 	drain := func(upTo core.Time) {
-		for completions.Len() > 0 {
-			when, c := completions.Peek()
+		for heads.Len() > 0 {
+			j, when := heads.Min()
 			if when > upTo {
 				return
 			}
@@ -474,12 +475,9 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					return
 				}
 			}
-			completions.Pop()
-			if c.gen != gen[c.task] {
-				continue // stale: that attempt was aborted
-			}
+			id := fq.head[j]
 			if hd != nil {
-				rid := c.task
+				rid := id
 				if rid >= n {
 					rid -= n
 				}
@@ -490,14 +488,9 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					// nothing — the task completed earlier, exactly once (or
 					// was excluded, and this un-cancellable attempt just
 					// drained).
-					st.QueueLen[c.server]--
-					if fq.head[c.server] == c.task {
-						fq.popHead(c.server)
-					} else {
-						fq.remove(c.server, c.task)
-					}
-					metrics.DuplicateWork += busyAdd[c.task]
-					if c.task >= n {
+					a.settleHead(j)
+					metrics.DuplicateWork += busyAdd[id]
+					if id >= n {
 						hd.copyLive[rid] = false
 					}
 					continue
@@ -509,27 +502,22 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				if hd.hist != nil {
 					hd.hist.Observe(float64(when - inst.Tasks[rid].Release))
 				}
-				if c.task >= n {
+				if id >= n {
 					// The speculative copy finished first: it is the
 					// effective completion. Record it as the task's schedule
 					// entry, then cancel (or abandon) the primary attempt.
 					t := inst.Tasks[rid]
 					pj := a.machine[rid] // primary's server, before the winner overwrites it
 					if probe != nil {
-						probe.OnEvent(obs.Event{Kind: obs.Complete, T: when, Task: rid, Server: c.server, Release: t.Release, Proc: t.Proc})
+						probe.OnEvent(obs.Event{Kind: obs.Complete, T: when, Task: rid, Server: j, Release: t.Release, Proc: t.Proc})
 					}
-					st.QueueLen[c.server]--
-					if fq.head[c.server] == c.task {
-						fq.popHead(c.server)
-					} else {
-						fq.remove(c.server, c.task)
-					}
+					a.settleHead(j)
 					hd.copyLive[rid] = false
 					hd.wonByCopy[rid] = true
 					metrics.HedgeWinsCopy++
 					metrics.Flows[rid] = when - t.Release
 					metrics.Stretches[rid] = stretchOf(when-t.Release, t.Proc)
-					sched.Assign(rid, c.server, curStart[c.task])
+					sched.Assign(rid, j, curStart[id])
 					if el != nil {
 						metrics.Dispatched[rid] = hd.copyAt[rid]
 					} else if rs != nil && rs.disp != nil {
@@ -554,11 +542,11 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					}
 					if ov != nil && ov.cfg.Ejector != nil {
 						if proc := t.Proc; proc > 0 {
-							factor := float64((when - curStart[c.task]) / proc)
-							if ov.cfg.Ejector.Observe(c.server, factor, when) {
+							factor := float64((when - curStart[id]) / proc)
+							if ov.cfg.Ejector.Observe(j, factor, when) {
 								metrics.Ejections++
 								if probe != nil {
-									probe.OnEvent(obs.Event{Kind: obs.Eject, T: when, Server: c.server})
+									probe.OnEvent(obs.Event{Kind: obs.Eject, T: when, Server: j})
 								}
 							}
 						}
@@ -566,12 +554,12 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					if rs != nil && rs.brk != nil {
 						// A copy is never a probe (it goes only to closed
 						// breakers), so its completion feeds the window.
-						if rs.brk.Observe(c.server, rs.failed(inst, rid, curStart[c.task], when), when) {
-							rs.opened(c.server, when, metrics, events, probe)
+						if rs.brk.Observe(j, rs.failed(inst, rid, curStart[id], when), when) {
+							rs.opened(j, when, metrics, events, probe)
 						}
 					}
 					if probe != nil {
-						probe.OnEvent(obs.Event{Kind: obs.HedgeWin, T: when, Task: rid, Server: c.server, Copy: true})
+						probe.OnEvent(obs.Event{Kind: obs.HedgeWin, T: when, Task: rid, Server: j, Copy: true})
 					}
 					continue
 				}
@@ -583,27 +571,22 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				if hd.hedged[rid] {
 					metrics.HedgeWinsPrimary++
 					if probe != nil {
-						probe.OnEvent(obs.Event{Kind: obs.HedgeWin, T: when, Task: rid, Server: c.server})
+						probe.OnEvent(obs.Event{Kind: obs.HedgeWin, T: when, Task: rid, Server: j})
 					}
 				}
 			}
 			if probe != nil {
-				t := inst.Tasks[c.task]
-				probe.OnEvent(obs.Event{Kind: obs.Complete, T: when, Task: c.task, Server: c.server, Release: t.Release, Proc: t.Proc})
+				t := inst.Tasks[id]
+				probe.OnEvent(obs.Event{Kind: obs.Complete, T: when, Task: id, Server: j, Release: t.Release, Proc: t.Proc})
 			}
-			st.QueueLen[c.server]--
-			if fq.head[c.server] == c.task {
-				fq.popHead(c.server)
-			} else { // defensive; FIFO service should make this unreachable
-				fq.remove(c.server, c.task)
-			}
+			a.settleHead(j)
 			if ov != nil && ov.cfg.Ejector != nil {
-				if proc := inst.Tasks[c.task].Proc; proc > 0 {
-					factor := float64((when - curStart[c.task]) / proc)
-					if ov.cfg.Ejector.Observe(c.server, factor, when) {
+				if proc := inst.Tasks[id].Proc; proc > 0 {
+					factor := float64((when - curStart[id]) / proc)
+					if ov.cfg.Ejector.Observe(j, factor, when) {
 						metrics.Ejections++
 						if probe != nil {
-							probe.OnEvent(obs.Event{Kind: obs.Eject, T: when, Server: c.server})
+							probe.OnEvent(obs.Event{Kind: obs.Eject, T: when, Server: j})
 						}
 					}
 				}
@@ -614,17 +597,17 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				// server trips without ever crashing). A completing probe
 				// settles the half-open state instead; its probe mark stays
 				// set — that is the ProbeDispatch metric the auditor reads.
-				f := rs.failed(inst, c.task, curStart[c.task], when)
-				if rs.probe[c.task] {
-					closedNow, openedNow := rs.brk.ObserveProbe(c.server, f, when)
+				f := rs.failed(inst, id, curStart[id], when)
+				if rs.probe[id] {
+					closedNow, openedNow := rs.brk.ObserveProbe(j, f, when)
 					if closedNow {
-						rs.closed(c.server, when, metrics, events, probe)
+						rs.closed(j, when, metrics, events, probe)
 					}
 					if openedNow {
-						rs.opened(c.server, when, metrics, events, probe)
+						rs.opened(j, when, metrics, events, probe)
 					}
-				} else if rs.brk.Observe(c.server, f, when) {
-					rs.opened(c.server, when, metrics, events, probe)
+				} else if rs.brk.Observe(j, f, when) {
+					rs.opened(j, when, metrics, events, probe)
 				}
 			}
 		}
@@ -846,9 +829,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		}
 		st.Completion[j] = end
 		st.QueueLen[j]++
-		completions.Push(end, compEvent{server: j, task: id, gen: gen[id]})
-		fq.push(j, id)
-		curStart[id], curEnd[id] = start, end
+		a.enqueue(j, id, start, end)
 		busyAdd[id] = busy
 		sched.Assign(id, j, start)
 		metrics.Flows[id] = end - task.Release
@@ -1084,12 +1065,9 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				return nil // the copy could not beat the admitted budget either
 			}
 			cid := n + id
-			gen[cid]++
 			st.Completion[j] = end
 			st.QueueLen[j]++
-			completions.Push(end, compEvent{server: j, task: cid, gen: gen[cid]})
-			fq.push(j, cid)
-			curStart[cid], curEnd[cid] = start, end
+			a.enqueue(j, cid, start, end)
 			busyAdd[cid] = busy
 			metrics.Busy[j] += busy
 			hd.hedged[id] = true
@@ -1166,6 +1144,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			lost++
 		}
 		head := fq.takeAll(j)
+		a.rekey(j) // the crashed server leaves the head heap
 		st.QueueLen[j] -= lost
 		st.Completion[j] = now
 		if probe != nil {
@@ -1173,7 +1152,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		}
 		for id := head; id >= 0; {
 			nxt := fq.next[id] // before requeue: a re-dispatch relinks id
-			gen[id]++          // invalidate the queued completion
 			executed := core.Time(0)
 			if curStart[id] < now {
 				executed = now - curStart[id] // the running request's wasted partial work
@@ -1373,6 +1351,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				movedHead = fq.takeAll(victim)
 				st.Completion[victim] = now
 			}
+			// The victim is now empty, or still keyed by its running head.
+			a.rekey(victim)
 			moved := 0  // detached queue entries (speculative copies included)
 			handed := 0 // real tasks that will hand off through dispatch
 			for id := movedHead; id >= 0; id = fq.next[id] {
@@ -1391,7 +1371,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			}
 			for id := movedHead; id >= 0; {
 				nxt := fq.next[id] // before dispatch: a re-queue relinks id
-				gen[id]++          // invalidate the queued completion
 				metrics.Busy[victim] -= busyAdd[id]
 				if rs != nil && rs.brk != nil && id < n && rs.probe[id] {
 					// A half-open probe racing the drain: the attempt hands
@@ -1500,7 +1479,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				break
 			}
 			backlog -= busyAdd[c.ID]
-			gen[c.ID]++ // invalidate the queued completion
 			st.QueueLen[j]--
 			metrics.Busy[j] -= busyAdd[c.ID]
 			if hd != nil && c.ID >= n {

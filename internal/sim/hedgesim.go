@@ -16,10 +16,11 @@ import (
 // disabled path touches none of it and stays byte-identical to RunElastic.
 //
 // A speculative copy of task id is the virtual attempt id n + id (n = task
-// count): the generation / attempt-window / FIFO-link arrays are grown to
-// 2n under hedging, so the copy occupies server queues and the completion
-// heap exactly like a request of its own while every piece of per-task
-// bookkeeping (flows, schedule, dispositions) stays indexed by the real id.
+// count): the sequence / attempt-window / FIFO-link arrays are grown to 2n
+// under hedging, so the copy occupies server queues (and, at a queue's head,
+// the head heap) exactly like a request of its own while every piece of
+// per-task bookkeeping (flows, schedule, dispositions) stays indexed by the
+// real id.
 type hdRun struct {
 	cfg        *hedge.Config
 	hist       *obs.Histogram // live flow-time stream for the quantile trigger
@@ -63,12 +64,14 @@ func RunHedged(inst *core.Instance, router Router, plan *faults.Plan, policy Ret
 }
 
 // retime recomputes server j's unstarted queue suffix back to back from
-// instant now (or from the running head's end), pushing fresh completions
-// and re-crediting busy time. It is the one "re-dispatch later" re-timing
-// rule, shared by the watermark shedder's trim and the hedge layer's
-// first-win cancellations, so the two paths cannot drift apart. Speculative
-// copies (ids ≥ n) are re-timed like any queue entry but never touch the
-// schedule or flow metrics — those belong to effective completions only.
+// instant now (or from the running head's end), stamping each re-timed
+// attempt, re-crediting busy time and refreshing j's head-heap key. The walk
+// is O(suffix); the heap update is O(log m). It is the one "re-dispatch
+// later" re-timing rule, shared by the watermark shedder's trim and the
+// hedge layer's first-win cancellations, so the two paths cannot drift
+// apart. Speculative copies (ids ≥ n) are re-timed like any queue entry but
+// never touch the schedule or flow metrics — those belong to effective
+// completions only.
 func (a *Arena) retime(inst *core.Instance, slow [][]faults.Slowdown, j int, now core.Time) {
 	n := len(inst.Tasks)
 	metrics := &a.metrics
@@ -91,8 +94,7 @@ func (a *Arena) retime(inst *core.Instance, slow [][]faults.Slowdown, j int, now
 			end = faults.FinishTime(slow[j], start, task.Proc)
 			busy = end - start
 		}
-		a.gen[id]++
-		a.completions.Push(end, compEvent{server: j, task: id, gen: a.gen[id]})
+		a.stamp(id)
 		metrics.Busy[j] += busy - a.busyAdd[id]
 		a.curStart[id], a.curEnd[id] = start, end
 		a.busyAdd[id] = busy
@@ -104,6 +106,7 @@ func (a *Arena) retime(inst *core.Instance, slow [][]faults.Slowdown, j int, now
 		cur = end
 	}
 	a.st.Completion[j] = cur
+	a.rekey(j)
 }
 
 // cancelAttempt removes attempt aid (a task or its copy, by virtual id)
@@ -120,7 +123,6 @@ func (a *Arena) cancelAttempt(inst *core.Instance, slow [][]faults.Slowdown, aid
 			return false
 		}
 		executed := now - a.curStart[aid]
-		a.gen[aid]++
 		a.fq.remove(j, aid)
 		a.st.QueueLen[j]--
 		metrics.Busy[j] -= a.busyAdd[aid] - executed
@@ -129,7 +131,6 @@ func (a *Arena) cancelAttempt(inst *core.Instance, slow [][]faults.Slowdown, aid
 		a.retime(inst, slow, j, now)
 		return true
 	}
-	a.gen[aid]++
 	a.fq.remove(j, aid)
 	a.st.QueueLen[j]--
 	metrics.Busy[j] -= a.busyAdd[aid]

@@ -348,13 +348,23 @@ func TestBreakerProbeRacingScaleDownDrain(t *testing.T) {
 	}
 }
 
-// TestRunResilientProbedAllocs pins the steady-arena allocation count of a
-// full-stack run — every control on, under a gray fault and a zone crash —
-// with an obs.Counters probe attached. Events travel to the probe by value,
-// so attaching it must cost no allocation over the nil-probe run.
-func TestRunResilientProbedAllocs(t *testing.T) {
+// fullStack is a stack_gray-shaped full-stack input: n tasks on 15
+// servers at 80% load, every third server 4× slow from t = 10, one zone
+// crashing for 10 time units at 45% of the horizon, membership 15 → 12 →
+// 15, and every control armed.
+type fullStack struct {
+	inst *core.Instance
+	plan *faults.Plan
+	pol  RetryPolicy
+	ocfg *overload.Config
+	ecfg *elastic.Config
+	hcfg *hedge.Config
+	rcfg *resilience.Config
+}
+
+func newFullStack(n int) fullStack {
 	const m = 15
-	inst := allocInstance(2000, 0.8)
+	inst := allocInstance(n, 0.8)
 	horizon := float64(inst.Tasks[inst.N()-1].Release)
 	plan := faults.Empty(m)
 	for j := 0; j < m; j += 3 {
@@ -363,22 +373,38 @@ func TestRunResilientProbedAllocs(t *testing.T) {
 	for j := 6; j <= 8; j++ {
 		plan.Down(j, core.Time(0.45*horizon), core.Time(0.45*horizon+10))
 	}
-	pol := RetryPolicy{Backoff: 1, BackoffFactor: 2}
-	ocfg := &overload.Config{Admission: overload.QueueBound{MaxQueue: 20}}
-	ecfg := &elastic.Config{Min: 3, WarmUp: 1, Script: []elastic.Event{
-		{At: core.Time(0.3 * horizon), Delta: -3},
-		{At: core.Time(0.6 * horizon), Delta: 3},
-	}}
-	hcfg := &hedge.Config{Delay: 5, CancelRunning: true}
-	rcfg := &resilience.Config{
-		Jitter: resilience.JitterFull, Seed: 1, RetryBudget: 0.1,
-		Breaker: &resilience.BreakerConfig{Window: 20, FailureThreshold: 0.5, Cooldown: 10, SlowFactor: 3},
+	return fullStack{
+		inst: inst,
+		plan: plan,
+		pol:  RetryPolicy{Backoff: 1, BackoffFactor: 2},
+		ocfg: &overload.Config{Admission: overload.QueueBound{MaxQueue: 20}},
+		ecfg: &elastic.Config{Min: 3, WarmUp: 1, Script: []elastic.Event{
+			{At: core.Time(0.3 * horizon), Delta: -3},
+			{At: core.Time(0.6 * horizon), Delta: 3},
+		}},
+		hcfg: &hedge.Config{Delay: 5, CancelRunning: true},
+		rcfg: &resilience.Config{
+			Jitter: resilience.JitterFull, Seed: 1, RetryBudget: 0.1,
+			Breaker: &resilience.BreakerConfig{Window: 20, FailureThreshold: 0.5, Cooldown: 10, SlowFactor: 3},
+		},
 	}
+}
+
+func (fs fullStack) run(a *Arena, probe obs.Probe) (*core.Schedule, *ElasticMetrics, error) {
+	return a.RunResilient(fs.inst, EFTRouter{}, fs.plan, fs.pol, fs.ocfg, fs.ecfg, fs.hcfg, fs.rcfg, probe)
+}
+
+// TestRunResilientProbedAllocs pins the steady-arena allocation count of a
+// full-stack run — every control on, under a gray fault and a zone crash —
+// with an obs.Counters probe attached. Events travel to the probe by value,
+// so attaching it must cost no allocation over the nil-probe run.
+func TestRunResilientProbedAllocs(t *testing.T) {
+	fs := newFullStack(2000)
 	arena := NewArena()
 	counters := &obs.Counters{}
 	run := func(probe obs.Probe) func() {
 		return func() {
-			if _, _, err := arena.RunResilient(inst, EFTRouter{}, plan, pol, ocfg, ecfg, hcfg, rcfg, probe); err != nil {
+			if _, _, err := fs.run(arena, probe); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -397,5 +423,45 @@ func TestRunResilientProbedAllocs(t *testing.T) {
 	if counters.Count(obs.Arrival) == 0 || counters.Count(obs.Hedge) == 0 || counters.Count(obs.BreakerOpen) == 0 {
 		t.Errorf("full stack left a control idle: %d arrivals, %d hedges, %d breaker opens",
 			counters.Count(obs.Arrival), counters.Count(obs.Hedge), counters.Count(obs.BreakerOpen))
+	}
+}
+
+// headWatch is a probe that samples, at every event, the size of the
+// arena's pending-completion structure and the total queued work behind it.
+type headWatch struct {
+	a       *Arena
+	maxLen  int
+	backlog int
+}
+
+func (w *headWatch) OnEvent(obs.Event) {
+	w.maxLen = max(w.maxLen, w.a.heads.Len())
+	total := 0
+	for _, q := range w.a.st.QueueLen {
+		total += q
+	}
+	w.backlog = max(w.backlog, total)
+}
+
+// TestRunResilientEventSetBounded: the unified engine keeps one pending
+// completion per non-empty server queue, so its completion structure never
+// holds more than m entries however much work queues behind the heads — at
+// n = 2000 and at n = 8000 alike.
+func TestRunResilientEventSetBounded(t *testing.T) {
+	for _, n := range []int{2000, 8000} {
+		fs := newFullStack(n)
+		m := fs.inst.M
+		arena := NewArena()
+		w := &headWatch{a: arena}
+		if _, _, err := fs.run(arena, w); err != nil {
+			t.Fatal(err)
+		}
+		if w.maxLen > m {
+			t.Errorf("n=%d: completion structure held %d entries; bound m = %d", n, w.maxLen, m)
+		}
+		if w.maxLen == 0 || w.backlog <= m {
+			t.Errorf("n=%d: nothing to bound: %d pending completions, peak backlog %d tasks", n, w.maxLen, w.backlog)
+		}
+		t.Logf("n=%d: peak %d pending completions for a peak backlog of %d tasks", n, w.maxLen, w.backlog)
 	}
 }
