@@ -113,6 +113,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzGuardedDisposition -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzElasticMembership -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzHedgedDispatch -fuzztime=30s ./internal/sim/
+	$(GO) test -fuzz=FuzzRunQueueLen -fuzztime=30s ./internal/sim/
+	$(GO) test -fuzz=FuzzRouterEquivalence -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzBreakerStateMachine -fuzztime=30s ./internal/resilience/
 
 cover:
