@@ -6,13 +6,18 @@
 // central queues — the Immediate Dispatch property of Section 3), and each
 // server serves its local queue in arrival order.
 //
-// The engine processes arrival and completion events in time order
-// (completions before arrivals at equal instants) and collects per-request
-// flow times plus per-server utilization.
+// Dispatch is immediate and queues are FIFO, so in the fault-free model a
+// request's start and end are fixed the moment it is routed. Run walks the
+// arrivals in release order and tracks only which requests are still
+// unfinished, so routers see exact queue lengths; a request counts as
+// finished from its end instant on (completions before arrivals at equal
+// instants). Every engine collects per-request flow times plus per-server
+// utilization.
 package sim
 
 import (
 	"fmt"
+	"math"
 
 	"flowsched/internal/core"
 	"flowsched/internal/eventq"
@@ -129,6 +134,12 @@ func stretchOf(flow, proc core.Time) core.Time {
 // Run simulates the instance under the router and returns the resulting
 // schedule (validated against the model invariants by tests) and metrics.
 //
+// Each server's unfinished requests are a FIFO list linked through the task
+// indices, so the only pending completions are the m queue heads. Before
+// each arrival the heads that end by its release are popped, which keeps
+// State.QueueLen exact (TestRunQueueLenMatchesSchedule) with O(m) work per
+// arrival plus O(1) per completion, and one int32 of memory per request.
+//
 // Full-set instances routed by EFT-Min skip the O(m) completion scan
 // entirely: dispatch goes through an eventq.EFTMinPicker in O(log m) per
 // request, producing a byte-identical schedule (property-tested against the
@@ -168,26 +179,41 @@ func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Sched
 		QueueLen:   make([]int, m),
 	}
 
-	// Completion events decrement queue lengths; they are drained up to each
-	// arrival instant before the router runs, so same-instant completions
-	// are visible to the router (completion-before-arrival ordering).
-	var completions eventq.Queue[int] // payload: server index
-	completions.Reserve(reserveFor(inst.N()))
-
-	drain := func(upTo core.Time) {
-		for completions.Len() > 0 {
-			when, _ := completions.Peek()
-			if when > upTo {
-				return
-			}
-			_, server := completions.Pop()
-			st.QueueLen[server]--
-		}
+	// Each server's unfinished requests form a FIFO queue linked through
+	// the task indices (next; QueueLen[j] is its length), so only the m
+	// heads can complete next: headEnd[j] is j's head end, +Inf when the
+	// queue is empty. Before the router runs, every head ending at or
+	// before the arrival instant is popped, so same-instant completions are
+	// visible to the router (completion-before-arrival ordering). A popped
+	// head's successor h ends at Start[h]+Proc, the sum its dispatch wrote.
+	// Links are int32 task indices: 2³¹ tasks would take over 100 GB of
+	// core.Task alone, far beyond any instance this engine runs.
+	next := make([]int32, inst.N())
+	links := make([]int32, 2*m)
+	head, tail := links[:m], links[m:]
+	headEnd := make([]core.Time, m)
+	for j := range headEnd {
+		headEnd[j] = math.Inf(1)
 	}
 
 	for i, task := range inst.Tasks {
 		st.Now = task.Release
-		drain(st.Now)
+		for j, e := range headEnd {
+			if e > st.Now {
+				continue
+			}
+			h := head[j]
+			for e <= st.Now {
+				st.QueueLen[j]--
+				if st.QueueLen[j] == 0 {
+					e = math.Inf(1)
+					break
+				}
+				h = next[h]
+				e = sched.Start[h] + inst.Tasks[h].Proc
+			}
+			head[j], headEnd[j] = h, e
+		}
 		if probe != nil {
 			probe.OnEvent(obs.Event{Kind: obs.Arrival, T: task.Release, Task: i})
 		}
@@ -205,8 +231,13 @@ func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Sched
 		}
 		end := start + task.Proc
 		st.Completion[j] = end
+		if st.QueueLen[j] == 0 {
+			head[j], headEnd[j] = int32(i), end
+		} else {
+			next[tail[j]] = int32(i)
+		}
+		tail[j] = int32(i)
 		st.QueueLen[j]++
-		completions.Push(end, j)
 		sched.Assign(i, j, start)
 		metrics.Flows[i] = end - task.Release
 		metrics.Stretches[i] = stretchOf(end-task.Release, task.Proc)
@@ -219,22 +250,10 @@ func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Sched
 			probe.OnEvent(obs.Event{Kind: obs.Complete, T: end, Task: i, Server: j, Release: task.Release, Proc: task.Proc})
 		}
 	}
-	drain(metrics.Makespan)
 	if probe != nil {
 		probe.OnEvent(obs.Event{Kind: obs.Done, T: metrics.Makespan})
 	}
 	return sched, metrics, nil
-}
-
-// reserveFor sizes the completion queue's initial capacity: enough that
-// small and mid-sized runs never reallocate, without reserving O(n) memory
-// for multi-million-request instances (the heap then grows amortized).
-func reserveFor(n int) int {
-	const max = 4096
-	if n < max {
-		return n
-	}
-	return max
 }
 
 // isEFTMin reports whether the router is the EFT router with the Min
@@ -264,7 +283,7 @@ func unrestricted(inst *core.Instance) bool {
 
 // runEFTMinFast is the O(n log m) dispatch loop for full-set instances under
 // EFT-Min. Queue lengths are irrelevant (EFT never reads them), so the
-// completion event queue is skipped entirely; the schedule and metrics are
+// per-server FIFO lists are not kept at all; the schedule and metrics are
 // byte-identical to the generic loop's. Probe events fire exactly as in the
 // generic loop, behind the same nil guard.
 func runEFTMinFast(inst *core.Instance, sched *core.Schedule, metrics *Metrics, probe obs.Probe) {
